@@ -6,8 +6,12 @@ The grid-growing bump kernel (encoded side u/(v-1) -> u/v, bumped to
 not pointwise monotone: every unbumped slot with u >= 1 tightens from
 u/(v-1) to u/v, for <= and >= literals alike, so a small fraction of
 satisfiable formulas acquire unsatisfiable coupled images (DECISIONS.md).
-The dyadic ladder (shared bit streams, truncation at increasing depth) is
-monotone outright.  This script measures both.
+So the kernel is measured as C5 tests it, by paired counts: unsat->sat
+pairs ("up") against sat->unsat pairs ("down"), overall with the sign
+test up - down > 3*sqrt(up + down), and per v with
+down - up <= 3*sqrt(up + down).  The dyadic ladder (shared bit streams,
+truncation at increasing depth) is monotone outright; its violations are
+counted too.
 
     python scripts/coupling_check.py --pairs 500 --n 300
 """
@@ -40,23 +44,31 @@ def main() -> int:
 
     m = round(args.c * args.n)
 
-    sat_lows = violations = 0
-    per_v = {}
+    sat_lows = 0
+    per_v = {}  # v -> [unsat->sat, sat->unsat]
     for i in range(args.pairs):
         v = 2 + i % 5
         low = sample_formula(
             GenConfig(k=2, n=args.n, m=m, vspec=Finite(v), seed=stream_seed(args.seed, i))
         )
         pair = couple_increase_v(low, seed=stream_seed(args.seed + 1, i))
-        if not solve_2rsat_scc(pair.low).sat:
-            continue
-        sat_lows += 1
-        if not solve_2rsat_scc(pair.high).sat:
-            violations += 1
-            per_v[v] = per_v.get(v, 0) + 1
-    print(f"bump kernel: {violations}/{sat_lows} satisfiable pairs became unsatisfiable")
+        low_sat = solve_2rsat_scc(pair.low).sat
+        high_sat = solve_2rsat_scc(pair.high).sat
+        sat_lows += low_sat
+        counts = per_v.setdefault(v, [0, 0])
+        if high_sat and not low_sat:
+            counts[0] += 1
+        elif low_sat and not high_sat:
+            counts[1] += 1
+    up = sum(u for u, _ in per_v.values())
+    down = sum(d for _, d in per_v.values())
+    print(f"bump kernel: {sat_lows - down}/{sat_lows} satisfiable pairs stayed satisfiable")
+    print(f"  unsat->sat {up}, sat->unsat {down}; "
+          f"up - down > 3*sqrt(up + down): {up - down > 3 * (up + down) ** 0.5}")
     for v in sorted(per_v):
-        print(f"  from v={v}: {per_v[v]}")
+        u, d = per_v[v]
+        print(f"  from v={v}: unsat->sat {u}, sat->unsat {d}; "
+              f"down - up <= 3*sqrt(up + down): {d - u <= 3 * (u + d) ** 0.5}")
 
     ladder_checked = ladder_bad = 0
     for i in range(100):

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 from .errors import IndexOutOfRange, OddLength, WrongArity
 from .formula import Formula, Literal, signs_disjoint
+from .solver import compile_formula, literal_components
 
 
 class _BudgetExhausted:
@@ -280,29 +281,16 @@ def _filtered_oriented_clauses(f: Formula):
     cycle forces complement(lead) and trail into one strongly connected
     component.  Orientations failing that necessary condition are dropped.
     """
-    from .solver import _tarjan, build_implication_digraph, candidate_domains
-
-    domains = candidate_domains(f)
-    rank = {var: {val: i for i, val in enumerate(vals)} for var, vals in domains.items()}
-    graph = build_implication_digraph(f, domains)
-    comp = _tarjan(graph.succ)
-
-    def node(lit: Literal):
-        return graph.node_id.get((lit.var, lit.rel, rank[lit.var][lit.bound]))
-
+    nodes, comp = literal_components(compile_formula(f))
     by_lead: dict[int, list[tuple[int, Literal, Literal]]] = {}
-    for idx, clause in enumerate(f.clauses):
-        u, w = clause
-        if u.var == w.var:
+    for idx, (u, w) in enumerate(f.clauses):
+        nu, nw = nodes[2 * idx], nodes[2 * idx + 1]
+        if u.var == w.var or nu < 0 or nw < 0:
             continue
-        for lead, trail in ((u, w), (w, u)):
-            ln, tn = node(lead), node(trail)
-            if ln is None or tn is None:
-                continue
-            cl = graph.complement[ln]
-            if cl == -1 or comp[cl] != comp[tn]:
-                continue
-            by_lead.setdefault(lead.var, []).append((idx, lead, trail))
+        if comp[nu ^ 1] == comp[nw]:
+            by_lead.setdefault(u.var, []).append((idx, u, w))
+        if comp[nw ^ 1] == comp[nu]:
+            by_lead.setdefault(w.var, []).append((idx, w, u))
     return by_lead
 
 

@@ -3,12 +3,15 @@
 Sampling is driven entirely by :class:`rsat.rng.Stream`; a configuration
 plus its seed determines the produced formula bit for bit.  Draw order is
 fixed: for each clause, first the k variable slots, then for each slot a
-relation bit followed by the encoded right-hand side.
+relation bit followed by the encoded right-hand side.  One integer loop
+makes every draw (:func:`draw_slots`); sweeps compile its output straight
+to ranks, and :func:`sample_formula` turns it into one Fraction per slot.
 
 Every slot receives an encoded right-hand side ``a`` uniform over
-``V \\ {1}``.  A ``<=`` slot stores bound ``a`` directly; a ``>=`` slot
-stores bound ``1 - a`` (uniform over ``V \\ {0}``), so no innocuous literal
-is ever produced.
+``V \\ {1}``, drawn as a numerator over the value set's common
+denominator D (:func:`slot_denominator`).  A ``<=`` slot stores bound
+``a`` directly; a ``>=`` slot stores bound ``1 - a`` (uniform over
+``V \\ {0}``), so no innocuous literal is ever produced.
 
 Two couplings relate formulas over different value sets.  The bump kernel
 (:func:`couple_increase_v`) keeps the uniform marginals but is not
@@ -61,30 +64,14 @@ class GenConfig:
             )
 
 
-def _draw_encoded_rhs(vspec: TruthValueSpec, stream: Stream) -> Fraction:
-    """Uniform over V \\ {1} (continuous values carry 53 random bits)."""
+def slot_denominator(vspec: TruthValueSpec) -> int:
+    """D, with every encoded side a/D for a uniform over 0..D-1: v-1, 2^lam,
+    or 2^53 for the continuous set (53 random bits)."""
     if isinstance(vspec, Finite):
-        return Fraction(stream.below(vspec.v - 1), vspec.v - 1)
+        return vspec.v - 1
     if isinstance(vspec, Dyadic):
-        return Fraction(stream.bits(vspec.lam), 1 << vspec.lam)
-    return stream.dyadic53()
-
-
-def _draw_constraint(
-    vspec: TruthValueSpec, stream: Stream, used_rhs: Optional[set]
-) -> tuple[Rel, Fraction]:
-    rel = Rel.GE if stream.coin() else Rel.LE
-    a = _draw_encoded_rhs(vspec, stream)
-    if used_rhs is not None:
-        attempts = 0
-        while a in used_rhs:
-            attempts += 1
-            if attempts > 1000:
-                raise InvalidConfig("cannot draw globally distinct right-hand sides")
-            a = _draw_encoded_rhs(vspec, stream)
-        used_rhs.add(a)
-    bound = a if rel is Rel.LE else ONE - a
-    return rel, bound
+        return 1 << vspec.lam
+    return 1 << 53
 
 
 def _draw_distinct_vars(n: int, k: int, stream: Stream) -> list[int]:
@@ -99,28 +86,54 @@ def _draw_distinct_vars(n: int, k: int, stream: Stream) -> list[int]:
     return out
 
 
+def _draw_slots(cfg: GenConfig, stream: Stream, copies: Optional[list[int]]):
+    """The one draw loop: per clause the k variables (unless ``copies`` fixes
+    them), then per slot the relation coin and the encoded side a."""
+    k, n = cfg.k, cfg.n
+    denominator = slot_denominator(cfg.vspec)
+    side, pick, coin = stream.below_fn(denominator), stream.below_fn(n), stream.next_u64
+    used: Optional[set] = set() if cfg.distinct_thresholds else None
+    var, ge, num = [], [], []  # per slot: variable, >= bit, bound numerator
+    for ci in range(cfg.m):
+        if copies is not None:
+            vs = copies[ci * k : (ci + 1) * k]
+        elif cfg.distinct_vars_per_clause:
+            vs = _draw_distinct_vars(n, k, stream)
+        else:
+            vs = [pick() + 1 for _ in range(k)]
+        for j in vs:
+            e = coin() >> 63
+            a = side()
+            if used is not None:
+                for _ in range(1000):
+                    if a not in used:
+                        break
+                    a = side()
+                if a in used:
+                    raise InvalidConfig("cannot draw globally distinct right-hand sides")
+                used.add(a)
+            var.append(j)
+            ge.append(e)
+            num.append(denominator - a if e else a)
+    return denominator, var, ge, num
+
+
+def draw_slots(cfg: GenConfig) -> tuple[int, list[int], list[int], list[int]]:
+    """The draws of :func:`sample_formula` as integers (D, var, ge, num): slot
+    i is x_var[i] >= num[i]/D when ge[i], else x_var[i] <= num[i]/D."""
+    return _draw_slots(cfg, Stream(cfg.seed), None)
+
+
+def _formula(cfg: GenConfig, denominator: int, var, ge, num) -> Formula:
+    lits = [Literal(j, Rel.GE if e else Rel.LE, Fraction(b, denominator))
+            for j, e, b in zip(var, ge, num)]
+    clauses = tuple(tuple(lits[i : i + cfg.k]) for i in range(0, len(lits), cfg.k))
+    return Formula(cfg.k, cfg.n, clauses, cfg.vspec, cfg.distinct_vars_per_clause)
+
+
 def sample_formula(cfg: GenConfig) -> Formula:
     """Draw one formula; fully determined by ``cfg`` including its seed."""
-    stream = Stream(cfg.seed)
-    used_rhs: Optional[set] = set() if cfg.distinct_thresholds else None
-    clauses = []
-    for _ in range(cfg.m):
-        if cfg.distinct_vars_per_clause:
-            vs = _draw_distinct_vars(cfg.n, cfg.k, stream)
-        else:
-            vs = [stream.below(cfg.n) + 1 for _ in range(cfg.k)]
-        lits = []
-        for var in vs:
-            rel, bound = _draw_constraint(cfg.vspec, stream, used_rhs)
-            lits.append(Literal(var, rel, bound))
-        clauses.append(tuple(lits))
-    return Formula(
-        k=cfg.k,
-        n=cfg.n,
-        clauses=tuple(clauses),
-        vspec=cfg.vspec,
-        distinct_vars_per_clause=cfg.distinct_vars_per_clause,
-    )
+    return _formula(cfg, *draw_slots(cfg))
 
 
 def sample_formula_given_profile(
@@ -146,18 +159,7 @@ def sample_formula_given_profile(
     for i in range(km - 1, 0, -1):  # Fisher-Yates: uniform matching of copies to slots
         j = stream.below(i + 1)
         copies[i], copies[j] = copies[j], copies[i]
-
-    used_rhs: Optional[set] = set() if cfg.distinct_thresholds else None
-    clauses = []
-    pos = 0
-    for _ in range(cfg.m):
-        lits = []
-        for _ in range(cfg.k):
-            rel, bound = _draw_constraint(cfg.vspec, stream, used_rhs)
-            lits.append(Literal(copies[pos], rel, bound))
-            pos += 1
-        clauses.append(tuple(lits))
-    return Formula(cfg.k, cfg.n, tuple(clauses), cfg.vspec, False)
+    return _formula(cfg, *_draw_slots(cfg, stream, copies))
 
 
 # ---------------------------------------------------------------------------

@@ -1,32 +1,46 @@
-"""Satisfiability deciders.
+"""Satisfiability deciders over one compiled form.
 
-Two routes, deliberately independent so they can cross-validate:
+Deciding a formula depends only on the order of the bounds within each
+variable (the order view of regular signed literals; Béjar, Hähnle and
+Manyà 2001).  So a formula is compiled once into flat per-slot arrays:
+the variable, a ``>=`` bit and the global rank of the bound.  Variable j's
+*candidates*, its bounds deduplicated and ascending ([0] when it does not
+occur), hold ranks ``start[j]`` to ``start[j + 1] - 1``.  Restricting each
+variable to its candidates is sound and complete: any satisfying
+interpretation can be slid onto an endpoint of the interval cut out by its
+satisfied literals, and those endpoints are literal bounds.
+:func:`compile_formula` builds the form from a Formula, and
+:func:`compile_slots` from the sampler's integer draws, so a sweep builds
+no Fraction.
 
-* :func:`solve_complete` -- backtracking with unit propagation over the
-  finite candidate domains.  Restricting each variable to the bounds of
-  its own literals is sound and complete: any satisfying interpretation
-  can be slid, variable by variable, onto an endpoint of the interval cut
-  out by its satisfied literals, and those endpoints are literal bounds.
-  Works for every k; exponential worst case, intended for oracle scale.
+* :func:`solve_complete` -- backtracking with unit propagation over
+  candidate bitmasks, for every k; intended for oracle scale.
 
-* :func:`solve_2rsat_scc` -- for k = 2, strongly connected components of
-  the implication digraph whose nodes are the formula's literals plus
-  their domain-complements.  UNSAT iff some literal shares a component
-  with its complement.  Linear-plus-sorting time.
+* :func:`solve_2rsat_scc` -- for k = 2, the 2-SAT algorithm of Aspvall,
+  Plass and Tarjan (1979).  A variable with candidates d_0 < ... < d_{N-1}
+  owns N - 1 node pairs of the implication digraph, one per gap: node 2h
+  is ``x <= d_r`` and node 2h+1 is ``x >= d_{r+1}``, so a node's
+  complement is ``id ^ 1`` and no node lacks one.  A literal true on every
+  candidate has no node; its clause is vacuous.  UNSAT iff some node
+  shares a strongly connected component with its complement.
 
-Both return witnesses that are *tight*: every assigned value is a bound of
-a literal on that variable (0 for variables that do not occur).
+The two stay independent so they can cross-validate.  Both check their
+witness on ranks before they report SAT; witnesses are *tight*, every
+value a candidate of its variable.
 """
 
 from __future__ import annotations
 
-import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product, repeat
+from math import lcm
+from operator import eq, rshift
 from typing import Optional
 
 from .errors import ResourceLimit, WrongArity
-from .formula import ZERO, Formula, Literal, Rel, eval_formula
+from .formula import ZERO, Formula, Rel
 
 DEFAULT_NODE_BUDGET = 5_000_000
 DEFAULT_COUNT_BUDGET = 2_000_000
@@ -41,90 +55,133 @@ class SolveResult:
         return "SAT" if self.sat else "UNSAT"
 
 
+# ---------------------------------------------------------------------------
+# Compiled form
+
+
+@dataclass(frozen=True)
+class CompiledFormula:
+    """Slot i, in clause i // k, is ``x_var[i] <= d`` (``>=`` when ``ge[i]``)
+    for the candidate d of global rank ``rank[i]``.  ``values`` lists the
+    candidates by rank; it is None when compiled from integer draws, and
+    then a SAT result carries no witness."""
+
+    k: int
+    n: int
+    var: list[int]
+    ge: list[int]
+    rank: list[int]
+    start: list[int]  # n + 2 entries; start[0] is unused
+    values: Optional[list[Fraction]]
+
+
+def _compile(k, n, var, ge, num, shift, bounds=None) -> CompiledFormula:
+    """Rank integer bounds: ``num[i]`` orders like slot i's bound within its
+    variable and fits in ``shift`` bits, so one sort of the packed
+    (variable, bound) keys orders every variable's candidates."""
+    keys = [(j << shift) | b for j, b in zip(var, num)]
+    present = set(var)
+    uniq = sorted(set(keys).union(j << shift for j in range(1, n + 1) if j not in present))
+    index = dict(zip(uniq, range(len(uniq))))
+    first = dict(zip(map(rshift, reversed(uniq), repeat(shift)), range(len(uniq) - 1, -1, -1)))
+    start = [0, *map(first.__getitem__, range(1, n + 1)), len(uniq)]
+    values = None
+    if bounds is not None:
+        bound_of = dict(zip(keys, bounds))
+        values = [bound_of.get(key, ZERO) for key in uniq]
+    return CompiledFormula(k, n, var, ge, list(map(index.__getitem__, keys)), start, values)
+
+
+def compile_formula(f: Formula) -> CompiledFormula:
+    """Compile ``f``; each variable's bounds are scaled to integers by the
+    least common multiple of their denominators, which keeps them exact."""
+    lits = [lit for clause in f.clauses for lit in clause]
+    var = [lit.var for lit in lits]
+    bounds = [lit.bound for lit in lits]
+    dens = [b.denominator for b in bounds]
+    scale: dict[int, int] = {}
+    for j, d in zip(var, dens):
+        scale[j] = lcm(scale.get(j, 1), d)
+    num = [b.numerator * (scale[j] // d) for j, b, d in zip(var, bounds, dens)]
+    ge = [int(lit.rel is Rel.GE) for lit in lits]
+    return _compile(f.k, f.n, var, ge, num, max(num, default=0).bit_length(), bounds)
+
+
+def compile_slots(k: int, n: int, denominator: int, var, ge, num) -> CompiledFormula:
+    """Compile integer slots: slot i bounds x_var[i] by num[i]/denominator.
+
+    Checks what Literal and Formula would: whole clauses, variables in
+    1..n, and every encoded side (the bound for ``<=``, one minus it for
+    ``>=``) in [0, 1), so bounds lie in [0, 1] and none is innocuous.
+    """
+    if len(var) % k or not len(var) == len(ge) == len(num):
+        raise ValueError(f"{len(var)} slots do not make whole width-{k} clauses")
+    if var and not (1 <= min(var) and max(var) <= n):
+        raise ValueError(f"variable outside 1..{n}")
+    sides = [denominator - b if e else b for e, b in zip(ge, num)]
+    if sides and not (0 <= min(sides) and max(sides) < denominator):
+        raise ValueError("bound outside [0, 1] or innocuous literal (x <= 1 or x >= 0)")
+    return _compile(k, n, var, ge, num, denominator.bit_length())
+
+
+def _check_witness(c: CompiledFormula, wit: list[int]) -> None:
+    """Raise unless the rank witness (a global rank per variable) satisfies every clause."""
+    truth = [wit[j] >= g if e else wit[j] <= g for j, e, g in zip(c.var, c.ge, c.rank)]
+    if not all(any(truth[i : i + c.k]) for i in range(0, len(truth), c.k)):
+        raise AssertionError("decider produced an invalid witness")
+
+
+def _result(c: CompiledFormula, wit: Optional[list[int]]) -> SolveResult:
+    if wit is None:
+        return SolveResult(False)
+    _check_witness(c, wit)
+    if c.values is None:
+        return SolveResult(True)
+    return SolveResult(True, {j: c.values[wit[j]] for j in range(1, c.n + 1)})
+
+
 def candidate_domains(f: Formula) -> dict[int, list[Fraction]]:
     """Per-variable sorted candidate values: the bounds of the variable's own
     literals, deduplicated; [0] for variables without occurrences."""
-    bounds: dict[int, set[Fraction]] = {}
-    for clause in f.clauses:
-        for lit in clause:
-            bounds.setdefault(lit.var, set()).add(lit.bound)
-    return {
-        var: sorted(bounds[var]) if var in bounds else [ZERO]
-        for var in range(1, f.n + 1)
-    }
+    c = compile_formula(f)
+    return {j: c.values[c.start[j] : c.start[j + 1]] for j in range(1, f.n + 1)}
 
 
 # ---------------------------------------------------------------------------
 # Complete backtracking decider
 
 
-def _compile(f: Formula, domains: dict[int, list[Fraction]]):
-    """Clauses as (var, candidate-bitmask) pairs; masks select satisfying ranks."""
-    rank = {var: {val: i for i, val in enumerate(vals)} for var, vals in domains.items()}
-    full = {var: (1 << len(vals)) - 1 for var, vals in domains.items()}
-    compiled = []
-    for clause in f.clauses:
+def _clause_masks(c: CompiledFormula):
+    """Clauses as (var, candidate-bitmask) pairs; masks select satisfying
+    ranks.  Clauses one variable satisfies on every candidate are dropped."""
+    start, k = c.start, c.k
+    full = {j: (1 << (start[j + 1] - start[j])) - 1 for j in range(1, c.n + 1)}
+    masks = []
+    for i in range(0, len(c.var), k):
         per_var: dict[int, int] = {}
-        for lit in clause:
-            vals = domains[lit.var]
-            if lit.rel is Rel.LE:
-                r = _rank_le(vals, lit.bound)
-                mask = (1 << (r + 1)) - 1 if r >= 0 else 0
-            else:
-                r = _rank_ge(vals, lit.bound)
-                mask = ((1 << (len(vals) - r)) - 1) << r if r < len(vals) else 0
-            per_var[lit.var] = per_var.get(lit.var, 0) | mask
-        if any(mask == full[var] for var, mask in per_var.items()):
-            continue  # satisfied by every candidate value of that variable
-        compiled.append(tuple(per_var.items()))
-    return compiled, full, rank
+        for j, e, g in zip(c.var[i : i + k], c.ge[i : i + k], c.rank[i : i + k]):
+            r = g - start[j]
+            mask = full[j] ^ ((1 << r) - 1) if e else (1 << (r + 1)) - 1
+            per_var[j] = per_var.get(j, 0) | mask
+        if all(mask != full[j] for j, mask in per_var.items()):
+            masks.append(tuple(per_var.items()))
+    return masks, full
 
 
-def _rank_le(vals: list[Fraction], bound: Fraction) -> int:
-    """Largest index with vals[i] <= bound, or -1."""
-    lo, hi = 0, len(vals)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if vals[mid] <= bound:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo - 1
-
-
-def _rank_ge(vals: list[Fraction], bound: Fraction) -> int:
-    """Smallest index with vals[i] >= bound, or len(vals)."""
-    lo, hi = 0, len(vals)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if vals[mid] >= bound:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
-def solve_complete(f: Formula, budget: int = DEFAULT_NODE_BUDGET) -> SolveResult:
+def solve_complete(
+    f: Formula | CompiledFormula, budget: int = DEFAULT_NODE_BUDGET
+) -> SolveResult:
     """Exact satisfiability over V by search on the candidate domains.
 
     Raises ResourceLimit when more than ``budget`` branch nodes are
     expanded; never returns a wrong answer.
     """
-    domains = candidate_domains(f)
-    compiled, full, _ = _compile(f, domains)
-    dom = {var: full[var] for var in full}
-    nodes = [0]
-
-    assignment = _search(dom, list(range(len(compiled))), compiled, nodes, budget)
-    if assignment is None:
-        return SolveResult(False)
-    witness = {}
-    for var, vals in domains.items():
-        witness[var] = vals[assignment[var].bit_length() - 1]
-    result = SolveResult(True, witness)
-    if not eval_formula(f, witness):  # pragma: no cover - internal consistency
-        raise AssertionError("complete decider produced an invalid witness")
-    return result
+    c = f if isinstance(f, CompiledFormula) else compile_formula(f)
+    masks, full = _clause_masks(c)
+    found = _search(dict(full), list(range(len(masks))), masks, [0], budget)
+    if found is None:
+        return _result(c, None)
+    return _result(c, [0] + [c.start[j] + found[j].bit_length() - 1 for j in range(1, c.n + 1)])
 
 
 def _search(dom, active, compiled, nodes, budget):
@@ -196,182 +253,138 @@ def _search(dom, active, compiled, nodes, budget):
 
 @dataclass
 class ImplicationDigraph:
-    """Literal-implication digraph of a width-2 formula.
+    """The SCC decider's digraph of a width-2 formula, labelled for reading.
 
-    Nodes are (var, rel, rank) triples over the candidate domains: the
-    formula's literals together with their complements.  Edges are the
-    clause contrapositives plus the entailment chains within each
-    variable and relation.  The complement pairing is stored per node
-    (-1 when the complement leaves the domain, i.e. the literal holds
-    for every candidate value).
+    ``nodes[id]`` is node id's (var, rel, rank) triple, rank local to the
+    variable's candidates: per gap, ``(var, LE, r)`` then
+    ``(var, GE, r + 1)``.  ``complement[id]`` is ``id ^ 1``; no node lacks
+    one.  Edges are the clause contrapositives plus the entailment chains
+    within each variable and relation.
     """
 
     nodes: list[tuple[int, Rel, int]]
     succ: list[list[int]]
     complement: list[int]
-    node_id: dict[tuple[int, Rel, int], int]
+
+
+def _literal_nodes(c: CompiledFormula) -> list[int]:
+    """Node of every slot; -1 for a literal that holds on every candidate."""
+    start = c.start
+    return [
+        (2 * (g - j) + 1 if g != start[j] else -1)
+        if e
+        else (2 * (g - j) + 2 if g != start[j + 1] - 1 else -1)
+        for j, e, g in zip(c.var, c.ge, c.rank)
+    ]
+
+
+def _implication_succ(c: CompiledFormula, nodes: list[int]) -> list[list[int]]:
+    start = c.start
+    succ: list[list[int]] = [[] for _ in range(2 * (start[-1] - c.n))]
+    for j in range(1, c.n + 1):
+        # variable j's nodes are [2(start[j] - j + 1), 2(start[j + 1] - j));
+        # stronger literals imply weaker ones
+        for a in range(2 * (start[j] - j + 1), 2 * (start[j + 1] - j) - 2, 2):
+            succ[a].append(a + 2)  # x <= d_r  implies  x <= d_{r+1}
+            succ[a + 3].append(a + 1)  # x >= d_{r+2}  implies  x >= d_{r+1}
+    for i in range(0, len(nodes), 2):
+        u, w = nodes[i], nodes[i + 1]
+        if u >= 0 and w >= 0:  # else one side holds on every candidate: vacuous
+            succ[u ^ 1].append(w)
+            succ[w ^ 1].append(u)
+    return succ
+
+
+def literal_components(c: CompiledFormula) -> tuple[list[int], list[int]]:
+    """Node of every slot (-1 where none) and the component of every node.
+
+    Components are numbered sinks-first.  ``c`` must have width 2.
+    """
+    nodes = _literal_nodes(c)
+    return nodes, _tarjan(_implication_succ(c, nodes))
 
 
 def build_implication_digraph(f: Formula, domains=None) -> ImplicationDigraph:
+    """The SCC decider's digraph of ``f``.  ``domains``, if given, must be
+    ``candidate_domains(f)``; the view derives them itself."""
     if f.k != 2:
         raise WrongArity(f"implication digraph requires k = 2, got k = {f.k}")
-    if domains is None:
-        domains = candidate_domains(f)
-
-    rank = {var: {val: i for i, val in enumerate(vals)} for var, vals in domains.items()}
-    size = {var: len(vals) for var, vals in domains.items()}
-
-    node_id: dict[tuple[int, Rel, int], int] = {}
-    nodes: list[tuple[int, Rel, int]] = []
-
-    def intern(var: int, rel: Rel, r: int) -> int:
-        key = (var, rel, r)
-        nid = node_id.get(key)
-        if nid is None:
-            nid = len(nodes)
-            node_id[key] = nid
-            nodes.append(key)
-        return nid
-
-    def comp_key(var: int, rel: Rel, r: int):
-        if rel is Rel.LE:
-            return (var, Rel.GE, r + 1) if r + 1 < size[var] else None
-        return (var, Rel.LE, r - 1) if r >= 1 else None
-
-    clause_arcs = []
-    for clause in f.clauses:
-        u, w = clause
-        ku = (u.var, u.rel, rank[u.var][u.bound])
-        kw = (w.var, w.rel, rank[w.var][w.bound])
-        cu = comp_key(*ku)
-        cw = comp_key(*kw)
-        if cu is None or cw is None:
-            continue  # one side holds for every candidate value: vacuous clause
-        iu, iw = intern(*ku), intern(*kw)
-        icu, icw = intern(*cu), intern(*cw)
-        clause_arcs.append((icu, iw))
-        clause_arcs.append((icw, iu))
-
-    succ: list[list[int]] = [[] for _ in nodes]
-    for a, b in clause_arcs:
-        succ[a].append(b)
-
-    # entailment chains: within a variable, stronger literals imply weaker ones
-    by_var_rel: dict[tuple[int, Rel], list[tuple[int, int]]] = {}
-    for nid, (var, rel, r) in enumerate(nodes):
-        by_var_rel.setdefault((var, rel), []).append((r, nid))
-    for (var, rel), entries in by_var_rel.items():
-        entries.sort()
-        if rel is Rel.LE:
-            for (_, a), (_, b) in zip(entries, entries[1:]):
-                succ[a].append(b)
-        else:
-            for (_, a), (_, b) in zip(entries, entries[1:]):
-                succ[b].append(a)
-
-    complement = [-1] * len(nodes)
-    for nid, key in enumerate(nodes):
-        ck = comp_key(*key)
-        if ck is not None:
-            complement[nid] = node_id.get(ck, -1)
-    # the node set is complement-closed, so -1 only appears for literals
-    # whose complement leaves the candidate domain
-    return ImplicationDigraph(nodes, succ, complement, node_id)
+    c = compile_formula(f)
+    succ = _implication_succ(c, _literal_nodes(c))
+    nodes = [
+        key
+        for j in range(1, f.n + 1)
+        for r in range(c.start[j + 1] - c.start[j] - 1)
+        for key in ((j, Rel.LE, r), (j, Rel.GE, r + 1))
+    ]
+    return ImplicationDigraph(nodes, succ, [nid ^ 1 for nid in range(len(nodes))])
 
 
 def _tarjan(succ: list[list[int]]) -> list[int]:
     """Component index per node; components numbered sinks-first."""
-    n = len(succ)
-    index = [-1] * n
-    low = [0] * n
-    comp = [-1] * n
-    on_stack = bytearray(n)
+    index = [0] * len(succ)  # 0: not visited yet
+    low = [0] * len(succ)
+    comp = [-1] * len(succ)  # a visited node is on the stack until it gets one
     stack: list[int] = []
-    counter = 0
-    ncomp = 0
-    for root in range(n):
-        if index[root] != -1:
+    counter = ncomp = 0
+    for root in range(len(succ)):
+        if index[root]:
             continue
-        work = [(root, 0)]
+        counter += 1
+        index[root] = low[root] = counter
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
         while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = 1
-            advanced = False
-            sv = succ[v]
-            for i in range(pi, len(sv)):
-                w = sv[i]
-                if index[w] == -1:
-                    work[-1] = (v, i + 1)
-                    work.append((w, 0))
-                    advanced = True
+            v, arcs = work[-1]
+            for w in arcs:
+                if not index[w]:
+                    counter += 1
+                    index[w] = low[w] = counter
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
                     break
-                if on_stack[w] and index[w] < low[v]:
+                if comp[w] < 0 and index[w] < low[v]:
                     low[v] = index[w]
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = 0
-                    comp[w] = ncomp
-                    if w == v:
-                        break
-                ncomp += 1
-            if work:
-                parent = work[-1][0]
-                if low[v] < low[parent]:
-                    low[parent] = low[v]
+            else:
+                work.pop()
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        comp[w] = ncomp
+                        if w == v:
+                            break
+                    ncomp += 1
+                if work:
+                    parent = work[-1][0]
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
     return comp
 
 
-def solve_2rsat_scc(f: Formula) -> SolveResult:
+def solve_2rsat_scc(f: Formula | CompiledFormula) -> SolveResult:
     """Decide a width-2 formula via the implication digraph.
 
-    UNSAT iff some literal and its complement land in one strongly
-    connected component; otherwise a witness is read off the condensation
-    order (a literal counts as true when its component is closer to the
-    sinks than its complement's).
+    UNSAT iff some node and its complement land in one strongly connected
+    component.  Otherwise a literal counts as true when its component is
+    closer to the sinks than its complement's, and each variable takes
+    its smallest candidate d_r with ``x <= d_r`` true (its largest when
+    none is).
     """
     if f.k != 2:
         raise WrongArity(f"solve_2rsat_scc requires k = 2, got k = {f.k}")
-    domains = candidate_domains(f)
-    graph = build_implication_digraph(f, domains)
-    comp = _tarjan(graph.succ)
-
-    for nid, cid in enumerate(graph.complement):
-        if cid != -1 and comp[nid] == comp[cid]:
-            return SolveResult(False)
-
-    true_ge: dict[int, Fraction] = {}
-    true_le: dict[int, Fraction] = {}
-    for nid, (var, rel, r) in enumerate(graph.nodes):
-        cid = graph.complement[nid]
-        if cid != -1 and not comp[nid] < comp[cid]:
-            continue
-        bound = domains[var][r]
-        if rel is Rel.GE:
-            if var not in true_ge or bound > true_ge[var]:
-                true_ge[var] = bound
-        else:
-            if var not in true_le or bound < true_le[var]:
-                true_le[var] = bound
-
-    witness: dict[int, Fraction] = {}
-    for var in range(1, f.n + 1):
-        if var in true_ge:
-            witness[var] = true_ge[var]
-        elif var in true_le:
-            witness[var] = true_le[var]
-        else:
-            witness[var] = domains[var][0]
-    if not eval_formula(f, witness):  # pragma: no cover - internal consistency
-        raise AssertionError("SCC decider produced an invalid witness")
-    return SolveResult(True, witness)
+    c = f if isinstance(f, CompiledFormula) else compile_formula(f)
+    _, comp = literal_components(c)
+    if any(map(eq, comp[0::2], comp[1::2])):
+        return _result(c, None)
+    start = c.start
+    wit = [0] * (c.n + 1)
+    for j in range(1, c.n + 1):
+        g, a, last = start[j], 2 * (start[j] - j + 1), start[j + 1] - 1
+        while g < last and comp[a] > comp[a + 1]:
+            g += 1
+            a += 2
+        wit[j] = g
+    return _result(c, wit)
 
 
 # ---------------------------------------------------------------------------
@@ -386,43 +399,25 @@ def count_tight_satisfying(f: Formula, budget: int = DEFAULT_COUNT_BUDGET) -> in
     contribute two choices.  A variable with no occurrence has no slot to
     pick from, so the count is 0 by convention.
     """
-    slot_values: dict[int, list[Fraction]] = {var: [] for var in range(1, f.n + 1)}
-    for clause in f.clauses:
-        for lit in clause:
-            slot_values[lit.var].append(lit.bound)
+    c = compile_formula(f)
+    mult = Counter(c.rank)  # slots per candidate
+    spans = [range(c.start[j], c.start[j + 1]) for j in range(1, f.n + 1)]
 
     total = 1
-    for vals in slot_values.values():
-        total *= len(vals)
+    for span in spans:
+        total *= sum(mult[g] for g in span)
         if total == 0:
             return 0
         if total > budget:
-            raise ResourceLimit(
-                f"tight-interpretation space exceeds budget of {budget}"
-            )
+            raise ResourceLimit(f"tight-interpretation space exceeds budget of {budget}")
 
-    variables = sorted(slot_values)
-    weighted: list[list[tuple[Fraction, int]]] = []
-    for var in variables:
-        mult: dict[Fraction, int] = {}
-        for val in slot_values[var]:
-            mult[val] = mult.get(val, 0) + 1
-        weighted.append(sorted(mult.items()))
-
-    domains = {var: [val for val, _ in weighted[i]] for i, var in enumerate(variables)}
-    compiled, full, _ = _compile(f, domains)
-
+    masks, _ = _clause_masks(c)
     count = 0
-    for combo in itertools.product(*[range(len(w)) for w in weighted]):
-        bits = {var: 1 << combo[i] for i, var in enumerate(variables)}
-        ok = True
-        for clause in compiled:
-            if not any(bits[var] & mask for var, mask in clause):
-                ok = False
-                break
-        if ok:
+    for combo in product(*spans):
+        bits = {j: 1 << (g - span.start) for j, g, span in zip(range(1, f.n + 1), combo, spans)}
+        if all(any(bits[j] & mask for j, mask in clause) for clause in masks):
             weight = 1
-            for i, ci in enumerate(combo):
-                weight *= weighted[i][ci][1]
+            for g in combo:
+                weight *= mult[g]
             count += weight
     return count

@@ -23,8 +23,8 @@ from .errors import InvalidConfig, NoCrossing, ResourceLimit
 from .fileformat import vspec_to_token
 from .formula import TruthValueSpec
 from .rng import stream_seed
-from .sampler import GenConfig, sample_formula
-from .solver import DEFAULT_NODE_BUDGET, solve_2rsat_scc, solve_complete
+from .sampler import GenConfig, draw_slots
+from .solver import DEFAULT_NODE_BUDGET, compile_slots, solve_2rsat_scc, solve_complete
 
 CSV_HEADER = "k,v,n,m,c,trials,sat,p_hat,ci_lo,ci_hi,seed"
 CONFIDENCE = 0.95
@@ -84,15 +84,10 @@ def _run_cell(args) -> SweepResult:
     sat = 0
     limited = 0
     for trial in range(cfg.trials):
-        gen = GenConfig(
-            k=cfg.k,
-            n=n,
-            m=m,
-            vspec=vspec,
-            distinct_vars_per_clause=cfg.distinct_vars_per_clause,
-            seed=stream_seed(cell_seed, trial),
-        )
-        f = sample_formula(gen)
+        seed = stream_seed(cell_seed, trial)
+        gen = GenConfig(cfg.k, n, m, vspec, cfg.distinct_vars_per_clause, seed)
+        # draws to ranks to verdict: no Fraction, Literal or Formula
+        f = compile_slots(cfg.k, n, *draw_slots(gen))
         try:
             if use_scc:
                 result = solve_2rsat_scc(f)

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction as F
 
 import pytest
@@ -231,3 +232,26 @@ def test_found_snakes_certify_unsat():
         assert not solve_2rsat_scc(f).sat
         assert not solve_complete(f).sat
     assert found_count > 0
+
+
+# render_certificate digests of find_snake, recorded before the snake
+# search pruned on the compiled formula; None: no snake within budget
+SNAKE_PINS = {
+    50_000: "16d7d3523ff97098ec9d37e2468e770c4715d394dcdd28b170e8ed2b7fed5bfa",
+    50_001: "48a96f36f37c09be2d2d1dca0f5da539dbf7a25a2c92d35b31bb2cc9d1479217",
+    50_002: "a5924485364cd306663cf70b85f8e6b0eee02fc2735c904c4e83478aa8e27c5a",
+    50_003: None,
+    50_004: "f6a0a077a0458f0d406ded55bbc723b193e128cabf83da3e67193c2175244e56",
+    50_005: "ead744488516b469465e8c3f6ba24ae822e1ce25e785336143af9f8048d9ddcc",
+    50_006: None,
+    50_007: None,
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SNAKE_PINS))
+def test_find_snake_pinned(seed):
+    f = sample_formula(GenConfig(k=2, n=24, m=96, seed=seed))
+    cert = find_snake(f, budget=200_000)
+    digest = None if cert is None else hashlib.sha256(
+        rsat.render_certificate(cert).encode()).hexdigest()
+    assert digest == SNAKE_PINS[seed]

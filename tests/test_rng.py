@@ -48,3 +48,11 @@ def test_dyadic53_is_exact_53_bit_rational():
         assert isinstance(x, Fraction)
         assert 0 <= x < 1
         assert (x * 2**53).denominator == 1
+
+
+def test_below_fn_draws_like_below():
+    for n in (1, 2, 3, 5, 2000, 1 << 53):
+        a, b = Stream(77), Stream(77)
+        draw = b.below_fn(n)
+        assert [a.below(n) for _ in range(200)] == [draw() for _ in range(200)]
+        assert a.next_u64() == b.next_u64()  # same number of draws consumed

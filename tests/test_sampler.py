@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction as F
 
 import pytest
@@ -362,3 +363,75 @@ def test_conditional_equivalence_of_models():
         direct[(u.var, w.var)] = direct.get((u.var, w.var), 0) + 1
     for count in direct.values():
         assert abs(count / (trials // 2) - 1 / 6) < three_sigma(1 / 6, trials // 2)
+
+
+# ---------------------------------------------------------------------------
+# draw-order pins: sha256 of the rendered sample, recorded before the
+# sampler drew integer numerators; any change of draw order breaks them
+
+
+def _digest(f):
+    return hashlib.sha256(rsat.render_formula(f).encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "token, distinct_vars, digest",
+    [
+        ("finite:2", False, "3c0681540ef3a04324753571046a735b173399f1e4c3c95b157ad396d5b6b97c"),
+        ("finite:2", True, "27f6e2e091decf5333c2435dcae0020c56ee8b6a2a73d5fd7ac5f0185757c15b"),
+        ("finite:5", False, "7b96f5fbb7da9bd40e9d146b024aabbfa36bf47221f7605c279b49e0cef0c7c4"),
+        ("finite:5", True, "60c289887fc2d8d814033578ba15219f31239c58f0de051fccd6d1d7a61f1b47"),
+        ("dyadic:3", False, "ea3744a8e5f79c0d14705449562f9529313e20af0951a8d165209d670defad96"),
+        ("dyadic:3", True, "b3a12701fee024025b490a3ec5a07c05136950607ca9fa1b5f14f47c3a7c08a5"),
+        ("continuous", False, "aeac9dfeff2c006694816ad5a87411bc3e3486663d1c3854d99765891cef4641"),
+        ("continuous", True, "fb94f078e24bc40772b4b4b2df0029ef16d690d78760c2d91c34b03525e752e8"),
+    ],
+)
+def test_sample_formula_pinned(token, distinct_vars, digest):
+    cfg = GenConfig(
+        k=3 if distinct_vars else 2, n=30, m=70, vspec=rsat.vspec_from_token(token),
+        distinct_vars_per_clause=distinct_vars, seed=4242,
+    )
+    assert _digest(sample_formula(cfg)) == digest
+
+
+@pytest.mark.parametrize(
+    "token, digest",
+    [
+        ("dyadic:6", "93ad4bd03425f526732e3d42db15af3624c65053cae3e861970f06a11b70d1ae"),
+        ("continuous", "896e4644830e518ccc8f3fcf65a345669f9a603f507c564b7651a0e07be3dfeb"),
+    ],
+)
+def test_distinct_thresholds_pinned(token, digest):
+    # 50 slots over dyadic:6's 64 encoded sides, so redraws happen
+    cfg = GenConfig(k=2, n=30, m=25, vspec=rsat.vspec_from_token(token), seed=77,
+                    distinct_thresholds=True)
+    assert _digest(sample_formula(cfg)) == digest
+
+
+@pytest.mark.parametrize(
+    "token, seed, digest",
+    [
+        ("finite:5", None, "1a011ed50c02b5a55a5144470857a6a70b236b963ddfd07f0144cf11d9b5df4b"),
+        ("finite:5", 11, "8abd281b598189b967410dd9c919bf1e41c8bd5e3148ed3f0bf9c395be4df56d"),
+        ("continuous", None, "986c54c5b4bade24c690d36e298322d40ffb1d221c1edef512cfcd0a65d9aaef"),
+        ("continuous", 11, "d8cfa43f40f18aca652696391fcaea209bfda69ec341de67283f08ac6255f9f6"),
+    ],
+)
+def test_profile_sample_pinned(token, seed, digest):
+    cfg = GenConfig(k=2, n=6, m=9, vspec=rsat.vspec_from_token(token), seed=5)
+    f = sample_formula_given_profile(cfg, [5, 0, 4, 3, 2, 4], seed=seed)
+    assert _digest(f) == digest
+
+
+@pytest.mark.parametrize(
+    "token, digest",
+    [
+        ("finite:2", "77936d1d9f4bc2bcedd455c4c423c8c5f00c05295cce1505771e6ddd96c5678d"),
+        ("dyadic:0", "b62afc1b32397f7436b5cef98c05567c2347231ce441bddb68700631dace1dbb"),
+    ],
+)
+def test_drawless_slots_pinned(token, digest):
+    # n = 1 and a one-value encoded side: these slots consume no draws at all
+    cfg = GenConfig(k=3, n=1, m=4, vspec=rsat.vspec_from_token(token), seed=3)
+    assert _digest(sample_formula(cfg)) == digest

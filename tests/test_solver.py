@@ -251,3 +251,23 @@ def test_count_tight_consistent_with_solver():
             assert count == 0  # a variable without slots leaves no tight choice
         else:
             assert (count > 0) == solve_complete(f).sat
+
+
+@pytest.mark.parametrize(
+    "var, ge, num",
+    [
+        ([1, 3], [0, 0], [1, 1]),  # variable outside 1..n
+        ([0, 1], [0, 0], [1, 1]),
+        ([1, 2], [0, 0], [4, 1]),  # x <= 1 is innocuous
+        ([1, 2], [1, 0], [0, 1]),  # x >= 0 is innocuous
+        ([1, 2], [1, 0], [5, 1]),  # bound above 1
+        ([1, 2], [0, 0], [-1, 1]),  # bound below 0
+        ([1, 2, 1], [0, 0, 0], [1, 1, 1]),  # not whole clauses
+    ],
+)
+def test_compile_slots_rejects_what_literal_and_formula_reject(var, ge, num):
+    from rsat.solver import compile_slots
+
+    assert compile_slots(2, 2, 4, [1, 2], [1, 0], [4, 0]).rank == [0, 1]
+    with pytest.raises(ValueError):
+        compile_slots(2, 2, 4, var, ge, num)

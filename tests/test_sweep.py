@@ -3,19 +3,28 @@ from fractions import Fraction as F
 
 import pytest
 
+import rsat
 from rsat import (
     CONTINUOUS,
+    Dyadic,
     Finite,
+    GenConfig,
     InvalidConfig,
     NoCrossing,
+    Rel,
     SweepConfig,
     SweepResult,
+    candidate_domains,
     clause_count,
     estimate_crossing,
     render_limited_report,
     render_sweep_csv,
     run_sweep,
+    sample_formula,
+    solve_2rsat_scc,
+    stream_seed,
 )
+from rsat.solver import _check_witness, compile_formula
 from rsat.sweep import CSV_HEADER
 
 
@@ -147,3 +156,87 @@ def test_estimate_crossing_errors():
     )
     with pytest.raises(ValueError):
         estimate_crossing(mixed, 0.5)
+
+
+# ---------------------------------------------------------------------------
+# the integer sweep path against sample_formula and the public deciders
+
+DIFF_VSPECS = (Finite(2), Finite(5), Dyadic(0), Dyadic(3), CONTINUOUS)
+
+
+def _vacuous(f):
+    """True when some clause has a literal that holds on every candidate."""
+    doms = candidate_domains(f)
+    return any(
+        lit.bound == (doms[lit.var][-1] if lit.rel is Rel.LE else doms[lit.var][0])
+        for clause in f.clauses
+        for lit in clause
+    )
+
+
+@pytest.mark.parametrize(
+    "k, decider, distinct",
+    [(2, "scc", False), (2, "scc", True), (2, "complete", False), (3, "complete", False),
+     (3, "complete", True)],
+)
+def test_sweep_verdicts_match_sample_formula_and_decider(k, decider, distinct, monkeypatch):
+    monkeypatch.delenv("RSAT_THREADS", raising=False)
+    name = "solve_2rsat_scc" if decider == "scc" else "solve_complete"
+    public = getattr(rsat, name)
+    verdicts = []
+
+    def recording(f, **kwargs):
+        result = getattr(rsat.solver, name)(f, **kwargs)
+        verdicts.append(result.sat)
+        return result
+
+    monkeypatch.setattr(rsat.sweep, name, recording)
+    sizes = tuple(n for n in (1, 2, 3, 5, 12) if n >= k or not distinct)
+    cfg = SweepConfig(
+        k=k, vspecs=DIFF_VSPECS, n_values=sizes, c_grid=(F(1, 10), F(1), F(5, 2), F(4)),
+        trials=4, seed=2_718, decider=decider, distinct_vars_per_clause=distinct,
+    )
+    results = run_sweep(cfg)
+    expected, vacuous = [], 0
+    for r in results:
+        for t in range(cfg.trials):
+            f = sample_formula(GenConfig(k=k, n=r.n, m=r.m, vspec=r.vspec,
+                                         distinct_vars_per_clause=distinct,
+                                         seed=stream_seed(r.seed, t)))
+            expected.append(public(f).sat)
+            vacuous += _vacuous(f)
+    assert verdicts == expected
+    assert [r.sat for r in results] == [
+        sum(expected[i : i + cfg.trials]) for i in range(0, len(expected), cfg.trials)
+    ]
+    assert any(r.m == 0 for r in results) and (distinct or any(r.n == 1 for r in results))
+    assert vacuous > 0 and 0 < sum(expected) < len(expected)
+
+
+def test_rank_witness_check_raises_on_corrupted_witness():
+    f = sample_formula(GenConfig(k=2, n=30, m=20, vspec=CONTINUOUS, seed=31,
+                                 distinct_vars_per_clause=True))
+    result = solve_2rsat_scc(f)
+    assert result.sat
+    c = compile_formula(f)
+    wit = [0] + [c.values.index(result.witness[j], c.start[j], c.start[j + 1])
+                 for j in range(1, f.n + 1)]
+    _check_witness(c, wit)
+    # falsify both literals of the first clause whose literals can be falsified
+    for i in range(0, len(c.var), 2):
+        moved = list(wit)
+        for j, e, g in zip(c.var[i : i + 2], c.ge[i : i + 2], c.rank[i : i + 2]):
+            moved[j] = g - 1 if e else g + 1
+        if all(c.start[j] <= moved[j] < c.start[j + 1] for j in c.var[i : i + 2]):
+            break
+    with pytest.raises(AssertionError, match="invalid witness"):
+        _check_witness(c, moved)
+
+
+def test_sweep_decider_checks_its_witness(monkeypatch):
+    # a component labelling that puts every node apart makes the decider read
+    # the all-lowest-candidate witness, which this formula refutes
+    monkeypatch.setattr(rsat.solver, "_tarjan", lambda succ: list(range(len(succ))))
+    cfg = small_config(vspecs=(Finite(3),), c_grid=(F(2),), trials=3)
+    with pytest.raises(AssertionError, match="invalid witness"):
+        run_sweep(cfg)
