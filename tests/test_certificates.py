@@ -8,6 +8,8 @@ from rsat import (
     BUDGET_EXHAUSTED,
     CONTINUOUS,
     Bicycle,
+    Dyadic,
+    Finite,
     Formula,
     GenConfig,
     IndexOutOfRange,
@@ -23,6 +25,8 @@ from rsat import (
     solve_complete,
     verify_bicycle,
     verify_snake,
+    vspec_from_token,
+    vspec_to_token,
 )
 
 
@@ -99,13 +103,16 @@ def test_find_bicycle_budget_exhaustion():
     assert find_bicycle(f, budget=1) is BUDGET_EXHAUSTED
 
 
-def test_exhausted_none_implies_sat_on_distinct_model():
+@pytest.mark.parametrize("vspec", [CONTINUOUS, Finite(3), Dyadic(2)], ids=vspec_to_token)
+def test_exhausted_none_implies_sat_on_distinct_model(vspec):
     # the sound reading of bicycle necessity: a fully searched NONE means SAT
-    # (for the distinct-variables model; see the repeats-allowed gap below)
+    # (for the distinct-variables model; see the repeats-allowed gap below),
+    # so a search that drops valid links fails it
     nones = 0
     for seed in range(60):
         f = sample_formula(
-            GenConfig(k=2, n=8, m=20, seed=40_000 + seed, distinct_vars_per_clause=True)
+            GenConfig(k=2, n=8, m=20, vspec=vspec, seed=40_000 + seed,
+                      distinct_vars_per_clause=True)
         )
         out = find_bicycle(f, budget=3_000_000)
         if out is None:
@@ -255,3 +262,141 @@ def test_find_snake_pinned(seed):
     digest = None if cert is None else hashlib.sha256(
         rsat.render_certificate(cert).encode()).hexdigest()
     assert digest == SNAKE_PINS[seed]
+
+
+def _outcome(cert):
+    """A finder's result as pinned: NONE, BUDGET_EXHAUSTED or its file's sha256."""
+    if cert is None:
+        return "NONE"
+    if cert is BUDGET_EXHAUSTED:
+        return "BUDGET_EXHAUSTED"
+    return hashlib.sha256(rsat.render_certificate(cert).encode()).hexdigest()
+
+
+# find_bicycle outcomes for seeds 60000-60009 on distinct-variables formulas
+# with n=8, m=16, recorded while both finders still compared Fraction
+# bounds; keyed by value set and budget (None: the default).  Budget 50
+# pins the step count.
+BICYCLE_PINS = {
+    ("finite:3", None): [
+        "NONE",
+        "68eb0c87d5479ba619d9e009bffe9df2fd16d8b1c2d4f27da914af3173ca25c9",
+        "3b42a4f5141c0d46a3e39cc15dea818d3320d06ba4e790063248a0121aca9251",
+        "NONE",
+        "NONE",
+        "ab7ac80f967897a0355a50682aa4f402f0a6ff559bcadb40f0ff94fbbb6c2ccf",
+        "dc64e84e33494c90f1d16e9820d64c5846ceeb4942330f56e09917c813b9779a",
+        "f979764eaafecaee62716da4fce1fae5a811f456a40303b346d933aa37038d5e",
+        "NONE",
+        "4d9afa0794d6998277f4c1ec664e19d816849411ca864b9cebd43c00507a220d",
+    ],
+    ("finite:3", 50): [
+        "BUDGET_EXHAUSTED",
+        "68eb0c87d5479ba619d9e009bffe9df2fd16d8b1c2d4f27da914af3173ca25c9",
+        "3b42a4f5141c0d46a3e39cc15dea818d3320d06ba4e790063248a0121aca9251",
+        "BUDGET_EXHAUSTED",
+        "BUDGET_EXHAUSTED",
+        "ab7ac80f967897a0355a50682aa4f402f0a6ff559bcadb40f0ff94fbbb6c2ccf",
+        "dc64e84e33494c90f1d16e9820d64c5846ceeb4942330f56e09917c813b9779a",
+        "f979764eaafecaee62716da4fce1fae5a811f456a40303b346d933aa37038d5e",
+        "BUDGET_EXHAUSTED",
+        "BUDGET_EXHAUSTED",
+    ],
+    ("dyadic:2", None): [
+        "NONE",
+        "1adce33ad4154f105d6ff6b144ac2894de331d1904f3def6be4f2a3c5fecb562",
+        "acb209b20fd38be66e061595adbbccda97b071f576da58b90b0823cbac41cee9",
+        "NONE",
+        "NONE",
+        "dada84d8539cda43346cc72322726a4dd78bd3b0b71572e591a91e54690c862f",
+        "0dd0a01afb8610630c5b2a140352bd3973cce25a1eee6fd7d547cfbb5c6c1788",
+        "f9cc6c472e41300d02b9f87245d1b1cedfb1dabc5888936f7daab099d479160e",
+        "NONE",
+        "440412f6283b7004b0567d88af9b0d60f0af0418d8d165a3688a86a0f288e32a",
+    ],
+    ("dyadic:2", 50): [
+        "BUDGET_EXHAUSTED",
+        "1adce33ad4154f105d6ff6b144ac2894de331d1904f3def6be4f2a3c5fecb562",
+        "acb209b20fd38be66e061595adbbccda97b071f576da58b90b0823cbac41cee9",
+        "BUDGET_EXHAUSTED",
+        "BUDGET_EXHAUSTED",
+        "dada84d8539cda43346cc72322726a4dd78bd3b0b71572e591a91e54690c862f",
+        "0dd0a01afb8610630c5b2a140352bd3973cce25a1eee6fd7d547cfbb5c6c1788",
+        "f9cc6c472e41300d02b9f87245d1b1cedfb1dabc5888936f7daab099d479160e",
+        "BUDGET_EXHAUSTED",
+        "440412f6283b7004b0567d88af9b0d60f0af0418d8d165a3688a86a0f288e32a",
+    ],
+    ("continuous", None): [
+        "NONE",
+        "455de2e53586819271f0f0f28bf9f3258f1b38dc072fd518974bf87e7be473cd",
+        "9755bf0cf699d7d6f8466695c98f8b536bbc851dd04d2c5fa20262922e632ae0",
+        "NONE",
+        "NONE",
+        "04ecc99abcee1379f05d7459cefea680c1cae1159f7b42a35841536ef8ed0d19",
+        "7e2fdd35abab7b34df57715576eff561485e47e7778557774ac3fff420cd8a55",
+        "NONE",
+        "NONE",
+        "984ff46263864c98ba1d7a5673e59e500dff60a25c686f55eb8bbacdb072f150",
+    ],
+    ("continuous", 50): [
+        "BUDGET_EXHAUSTED",
+        "455de2e53586819271f0f0f28bf9f3258f1b38dc072fd518974bf87e7be473cd",
+        "9755bf0cf699d7d6f8466695c98f8b536bbc851dd04d2c5fa20262922e632ae0",
+        "BUDGET_EXHAUSTED",
+        "BUDGET_EXHAUSTED",
+        "04ecc99abcee1379f05d7459cefea680c1cae1159f7b42a35841536ef8ed0d19",
+        "7e2fdd35abab7b34df57715576eff561485e47e7778557774ac3fff420cd8a55",
+        "BUDGET_EXHAUSTED",
+        "BUDGET_EXHAUSTED",
+        "984ff46263864c98ba1d7a5673e59e500dff60a25c686f55eb8bbacdb072f150",
+    ],
+}
+
+
+@pytest.mark.parametrize("token, budget", list(BICYCLE_PINS))
+def test_find_bicycle_pinned(token, budget):
+    outcomes = []
+    for seed in range(60_000, 60_010):
+        f = sample_formula(GenConfig(k=2, n=8, m=16, vspec=vspec_from_token(token),
+                                     seed=seed, distinct_vars_per_clause=True))
+        outcomes.append(_outcome(find_bicycle(f) if budget is None else find_bicycle(f, budget)))
+    assert outcomes == BICYCLE_PINS[token, budget]
+
+
+# find_snake outcomes for seeds 70000-70009 with n=24, m=72, recorded with
+# BICYCLE_PINS; bounds on these grids often tie, and a tie is not disjoint
+SNAKE_GRID_PINS = {
+    "finite:3": [
+        "3a7f6804ec57fdf0254d977fdf82325db5682590de7a9bcdece1f90264162b78",
+        "bc404f084d54ba51fdf10e45fdac7a793906c0dde35d34856042812db140740b",
+        "b51f0d482f6368b3258a8e34be1c5e57f43b57c1b3621f707df5086088dca9f1",
+        "ba0518aa0ae467dde5de575d8b49859bd458223e8f734123eccde410e736528f",
+        "NONE",
+        "6852cc35b8006a084b00908e45035d922e3018d7533abad8d6748c61aad47d96",
+        "NONE",
+        "feacee972561dd06d10bc174da792edd77888494370df98e7b3282a4f7ee5668",
+        "5be4c334c27589a58acb95b797c49db730795c5e789019b4eea61e95ed70f7a7",
+        "34bd0e8a454de4ba736898197250d8691d8f179820163551475d7786dcfd32ac",
+    ],
+    "dyadic:2": [
+        "NONE",
+        "a98b9e6f0502e37399fd3c0a6ffce134c62bb13f7a6285364d87b092ee707c58",
+        "624ff6c5a7d0eaa03ec71a4a9c94523da5cac2d1935f37696b91d682e20a1beb",
+        "NONE",
+        "NONE",
+        "NONE",
+        "NONE",
+        "55a97ee295dea34b00e607035a43d5567d0b6c7126446a45b1ec677c94c36541",
+        "NONE",
+        "3b4123e654eb4d3dc6afd15e5b1ce3e527db66dacb97087caf806e1a09f77693",
+    ],
+}
+
+
+@pytest.mark.parametrize("token", sorted(SNAKE_GRID_PINS))
+def test_find_snake_pinned_on_grids(token):
+    outcomes = []
+    for seed in range(70_000, 70_010):
+        f = sample_formula(GenConfig(k=2, n=24, m=72, vspec=vspec_from_token(token), seed=seed))
+        outcomes.append(_outcome(find_snake(f, budget=200_000)))
+    assert outcomes == SNAKE_GRID_PINS[token]
