@@ -18,13 +18,16 @@ counted too.
 
 import argparse
 import sys
+from fractions import Fraction
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from rsat import (
     CONTINUOUS,
     Finite,
     GenConfig,
+    clause_count,
     couple_increase_v,
     sample_formula,
     solve_2rsat_scc,
@@ -38,11 +41,12 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--pairs", type=int, default=500)
     parser.add_argument("--n", type=int, default=300)
-    parser.add_argument("--c", type=float, default=1.5)
+    parser.add_argument("--c", type=Fraction, default=Fraction(3, 2))
     parser.add_argument("--seed", type=int, default=11)
     args = parser.parse_args()
 
-    m = round(args.c * args.n)
+    m = clause_count(args.c, args.n)
+    print(f"# n={args.n} m={m} c={args.c} pairs={args.pairs}", file=sys.stderr)
 
     sat_lows = 0
     per_v = {}  # v -> [unsat->sat, sat->unsat]

@@ -12,8 +12,9 @@ must be unsatisfiable per the SCC decider.
 import argparse
 import sys
 from fractions import Fraction
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from rsat import (
     CONTINUOUS,

@@ -11,8 +11,9 @@ ratio.  Feed the CSV to any plotter.
 import argparse
 import sys
 from fractions import Fraction
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from rsat import (
     CONTINUOUS,

@@ -14,9 +14,16 @@ sign disjointness (the checkers never consult a decider):
   satisfiable nor violable, so a verified snake certifies
   unsatisfiability outright.
 
-Finders return certificates that pass their checker; the bicycle finder
-is exhaustive within budget (NONE is a definitive answer), the snake
-finder is best effort (NONE proves nothing).
+Both finders walk one *chain graph* built on the compiled form
+(:func:`rsat.solver.compile_formula`).  Its nodes are the orientations of
+the two-variable clauses, each named by its lead slot; an arc runs from s
+to t when t's lead is sign-disjoint from s's trail, which the ranks
+decide without a Fraction.  A chain of orientations becomes a certificate
+through ``Bicycle.from_links`` or ``Snake.from_links``, and every found
+certificate must pass its checker, which reads the formula's Literals,
+not the ranks.  The bicycle finder is exhaustive within budget (NONE is a
+definitive answer), the snake finder is best effort (NONE proves
+nothing).
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from dataclasses import dataclass
 
 from .errors import IndexOutOfRange, OddLength, WrongArity
 from .formula import Formula, Literal, signs_disjoint
-from .solver import compile_formula, literal_components
+from .solver import CompiledFormula, compile_formula, literal_components
 
 
 class _BudgetExhausted:
@@ -81,6 +88,13 @@ class Bicycle:
                 f"bicycle of ell={self.ell} needs {self.ell + 1} clause indices"
             )
 
+    @classmethod
+    def from_links(cls, links, i0: int, i1: int) -> "Bicycle":
+        """The bicycle whose chain is ``links``: (clause index, f_i, t_{i+1})
+        for i = 0..ell."""
+        literals = tuple(lit for _, lead, trail in links for lit in (lead, trail))
+        return cls(len(links) - 1, literals, i0, i1, tuple(ci for ci, _, _ in links))
+
     def wf(self, i: int) -> Literal:
         """f-literal i, 0 <= i <= ell."""
         return self.literals[0] if i == 0 else self.literals[2 * i]
@@ -120,21 +134,46 @@ def verify_bicycle(f: Formula, cert: Bicycle) -> bool:
     return True
 
 
-def _oriented_clauses(f: Formula):
-    """Each two-variable clause in both (lead, trail) orders, keyed by lead var.
+def _chain_graph(c: CompiledFormula, keep=None):
+    """The chain graph of width-2 ``c``: orientations and their successors.
 
-    Clauses with both literals on one variable can never participate in a
-    chain certificate (the interior variables must be distinct), so they
-    are dropped here.
+    An orientation of clause i is named by its lead slot s (2i or 2i+1);
+    its trail is slot ``s ^ 1``.  ``by_lead[j]`` lists, in slot order, the
+    orientations that lead on x_j and that ``keep(s)`` admits (default:
+    all), leaving out clauses with both literals on one variable, which no
+    chain certificate can use.  ``successors(s)`` lists the orientations in
+    ``by_lead`` whose lead is sign-disjoint from s's trail: the relations
+    differ and the ``>=`` rank is strictly greater than the ``<=`` rank (a
+    tie is not disjoint).  A successor list depends only on the trail
+    literal, so each is built on first use and shared.
     """
-    by_lead: dict[int, list[tuple[int, Literal, Literal]]] = {}
-    for idx, clause in enumerate(f.clauses):
-        u, w = clause
-        if u.var == w.var:
-            continue
-        by_lead.setdefault(u.var, []).append((idx, u, w))
-        by_lead.setdefault(w.var, []).append((idx, w, u))
-    return by_lead
+    var, ge, rank = c.var, c.ge, c.rank
+    by_lead: dict[int, list[int]] = {}
+    for s in range(len(var)):
+        if var[s] != var[s ^ 1] and (keep is None or keep(s)):
+            by_lead.setdefault(var[s], []).append(s)
+    cache: dict[tuple[int, int], list[int]] = {}
+
+    def successors(s):
+        a = s ^ 1
+        key = (rank[a], ge[a])
+        out = cache.get(key)
+        if out is None:
+            g = rank[a]
+            leads = by_lead.get(var[a], ())
+            if ge[a]:
+                out = [t for t in leads if not ge[t] and rank[t] < g]
+            else:
+                out = [t for t in leads if ge[t] and rank[t] > g]
+            cache[key] = out
+        return out
+
+    return by_lead, successors
+
+
+def _links(f: Formula, chain):
+    """(clause index, lead, trail) triples of a chain of orientations."""
+    return [(s >> 1, f.clauses[s >> 1][s & 1], f.clauses[s >> 1][(s ^ 1) & 1]) for s in chain]
 
 
 def find_bicycle(f: Formula, budget: int = DEFAULT_FIND_BUDGET):
@@ -146,61 +185,40 @@ def find_bicycle(f: Formula, budget: int = DEFAULT_FIND_BUDGET):
     """
     if f.k != 2:
         raise WrongArity(f"bicycles are defined for k = 2, got k = {f.k}")
-    by_lead = _oriented_clauses(f)
+    c = compile_formula(f)
+    var = c.var
+    by_lead, successors = _chain_graph(c)
     steps = [0]
 
-    def assemble(chain, link_vars):
-        ell = len(chain) - 1
-        first0_var = chain[0][1].var
-        last_var = chain[-1][2].var
-        i0 = next((i for i in range(2, ell + 1) if link_vars[i - 1] == first0_var), None)
-        i1 = next((i for i in range(1, ell) if link_vars[i - 1] == last_var), None)
-        if i0 is None or i1 is None:
-            return None
-        literals = [chain[0][1]]
-        for i in range(1, ell + 1):
-            literals.append(chain[i - 1][2])
-            literals.append(chain[i][1])
-        literals.append(chain[ell][2])
-        cert = Bicycle(
-            ell=ell,
-            literals=tuple(literals),
-            i0=i0,
-            i1=i1,
-            clause_indices=tuple(entry[0] for entry in chain),
-        )
-        return cert if verify_bicycle(f, cert) else None
-
-    def dfs(chain, link_vars, link_var_set):
+    def dfs(chain, pos):
+        # pos: interior variable -> its position i, the lead variable of chain[i]
         steps[0] += 1
         if steps[0] > budget:
             raise _BudgetHit
+        s = chain[-1]
+        next_var = var[s ^ 1]
         if len(chain) >= 3:
-            cert = assemble(chain, link_vars)
-            if cert is not None:
-                return cert
-        next_var = chain[-1][2].var
-        if next_var in link_var_set:
+            i0, i1 = pos.get(var[chain[0]]), pos.get(next_var)
+            if i0 not in (None, 1) and i1 not in (None, len(chain) - 1):
+                cert = Bicycle.from_links(_links(f, chain), i0, i1)
+                if verify_bicycle(f, cert):
+                    return cert
+        if next_var in pos:
             return None
-        trail = chain[-1][2]
-        for cand in by_lead.get(next_var, ()):
-            if not signs_disjoint(trail, cand[1]):
-                continue
-            chain.append(cand)
-            link_vars.append(next_var)
-            link_var_set.add(next_var)
-            found = dfs(chain, link_vars, link_var_set)
+        pos[next_var] = len(chain)
+        for t in successors(s):
+            chain.append(t)
+            found = dfs(chain, pos)
             if found is not None:
                 return found
             chain.pop()
-            link_vars.pop()
-            link_var_set.remove(next_var)
+        del pos[next_var]
         return None
 
     try:
         for lead_var in sorted(by_lead):
             for start in by_lead[lead_var]:
-                found = dfs([start], [], set())
+                found = dfs([start], {})
                 if found is not None:
                     return found
     except _BudgetHit:
@@ -233,6 +251,17 @@ class Snake:
             raise ValueError(f"snake of ell={self.ell} needs {self.ell + 1} clause pairs")
         if len(self.clause_indices) != self.ell + 1:
             raise ValueError(f"snake of ell={self.ell} needs {self.ell + 1} clause indices")
+
+    @classmethod
+    def from_links(cls, links) -> "Snake":
+        """The snake whose chain is ``links``: (clause index, lead_i, trail_i)
+        for i = 0..ell."""
+        return cls(
+            len(links) - 1,
+            tuple(lead.var for _, lead, _ in links[1:]),
+            tuple((lead, trail) for _, lead, trail in links),
+            tuple(ci for ci, _, _ in links),
+        )
 
     def b_full(self, i: int) -> int:
         """b_i for 0 <= i <= ell + 1, applying the boundary identifications."""
@@ -273,44 +302,32 @@ def verify_snake(f: Formula, cert: Snake) -> bool:
     return True
 
 
-def _filtered_oriented_clauses(f: Formula):
-    """Oriented clauses that can take part in a closed snake walk.
-
-    Every literal of a snake clause sits in a disjointness link on its
-    variable, so its domain-complement exists, and the walk's implication
-    cycle forces complement(lead) and trail into one strongly connected
-    component.  Orientations failing that necessary condition are dropped.
-    """
-    nodes, comp = literal_components(compile_formula(f))
-    by_lead: dict[int, list[tuple[int, Literal, Literal]]] = {}
-    for idx, (u, w) in enumerate(f.clauses):
-        nu, nw = nodes[2 * idx], nodes[2 * idx + 1]
-        if u.var == w.var or nu < 0 or nw < 0:
-            continue
-        if comp[nu ^ 1] == comp[nw]:
-            by_lead.setdefault(u.var, []).append((idx, u, w))
-        if comp[nw ^ 1] == comp[nu]:
-            by_lead.setdefault(w.var, []).append((idx, w, u))
-    return by_lead
-
-
 def find_snake(f: Formula, budget: int = DEFAULT_FIND_BUDGET, max_half: int | None = None):
     """Best-effort closed-chain search; None proves nothing.
 
     Walks disjointness-linked clause chains out of a candidate middle
     variable; a walk that returns to the middle twice with half lengths
     (d, d+1) closes into a snake of length 2d, which is then verified.
-    Only clauses living inside a strongly connected component of the
-    implication digraph can appear in a closed walk, so everything else
-    is pruned up front.  ``max_half`` caps the first half's length
-    (default: a small margin above log n / log(m/2n), where closed walks
-    become plentiful).
+    Every literal of a snake clause sits in a disjointness link on its
+    variable, so the walk's implication cycle puts the complement of each
+    lead in one strongly connected component with its trail; orientations
+    failing that are pruned up front.  ``max_half`` caps the first half's
+    length (default: a small margin above log n / log(m/2n), where closed
+    walks become plentiful).
     """
     if f.k != 2:
         raise WrongArity(f"snakes are defined for k = 2, got k = {f.k}")
     if f.m < 7:
         return None
-    by_lead = _filtered_oriented_clauses(f)
+    c = compile_formula(f)
+    var = c.var
+    nodes, comp = literal_components(c)
+
+    def closes(s):
+        u, w = nodes[s], nodes[s ^ 1]
+        return u >= 0 and w >= 0 and comp[u ^ 1] == comp[w]
+
+    by_lead, successors = _chain_graph(c, closes)
     if max_half is None:
         if f.m > 2 * f.n and f.n >= 2:
             max_half = 2 + math.ceil(math.log(f.n) / math.log(f.m / (2 * f.n)))
@@ -319,14 +336,7 @@ def find_snake(f: Formula, budget: int = DEFAULT_FIND_BUDGET, max_half: int | No
     steps = [0]
 
     def assemble(chain):
-        ell = len(chain) - 1
-        b = tuple(entry[1].var for entry in chain[1:])
-        cert = Snake(
-            ell=ell,
-            b=b,
-            pairs=tuple((entry[1], entry[2]) for entry in chain),
-            clause_indices=tuple(entry[0] for entry in chain),
-        )
+        cert = Snake.from_links(_links(f, chain))
         return cert if verify_snake(f, cert) else None
 
     def dfs(mid, chain, used, d1):
@@ -336,41 +346,25 @@ def find_snake(f: Formula, budget: int = DEFAULT_FIND_BUDGET, max_half: int | No
             raise _BudgetHit
         if d1 is None and len(chain) > max_half:
             return None
-        trail = chain[-1][2]
-        next_var = trail.var
-        if next_var == mid:
-            if d1 is None:
-                d = len(chain)
-                if d < 3:
-                    return None
-                for cand in by_lead.get(mid, ()):
-                    if not signs_disjoint(trail, cand[1]):
-                        continue
-                    if cand[2].var in used:
-                        continue
-                    chain.append(cand)
-                    used.add(cand[2].var)
-                    found = dfs(mid, chain, used, d)
-                    if found is not None:
-                        return found
-                    used.remove(cand[2].var)
-                    chain.pop()
+        s = chain[-1]
+        if var[s ^ 1] == mid:
+            if d1 is not None:
+                d2 = len(chain) - d1
+                if d2 == d1 + 1:
+                    return assemble(chain)
+                if d2 == d1 - 1 and d2 >= 3:  # same closed walk, rotated split
+                    return assemble(chain[d1:] + chain[:d1])
                 return None
-            d2 = len(chain) - d1
-            if d2 == d1 + 1:
-                return assemble(chain)
-            if d2 == d1 - 1 and d2 >= 3:  # same closed walk, rotated split
-                return assemble(chain[d1:] + chain[:d1])
-            return None
-        if d1 is not None and len(chain) - d1 >= d1 + 1:
+            if len(chain) < 3:
+                return None
+            d1 = len(chain)
+        elif d1 is not None and len(chain) - d1 >= d1 + 1:
             return None  # second half can be at most one clause longer
-        for cand in by_lead.get(next_var, ()):
-            nv = cand[2].var
-            if not signs_disjoint(trail, cand[1]):
-                continue
+        for t in successors(s):
+            nv = var[t ^ 1]
             if nv != mid and nv in used:
                 continue
-            chain.append(cand)
+            chain.append(t)
             if nv != mid:
                 used.add(nv)
             found = dfs(mid, chain, used, d1)
@@ -384,7 +378,7 @@ def find_snake(f: Formula, budget: int = DEFAULT_FIND_BUDGET, max_half: int | No
     try:
         for mid in sorted(by_lead):
             for start in by_lead[mid]:
-                found = dfs(mid, [start], {mid, start[2].var}, None)
+                found = dfs(mid, [start], {mid, var[start ^ 1]}, None)
                 if found is not None:
                     return found
     except _BudgetHit:

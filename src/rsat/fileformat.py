@@ -222,13 +222,8 @@ def parse_certificate(text: str) -> Bicycle | Snake:
         except ValueError:
             raise ParseError("bicycle header fields must be integers", header_line) from None
         chain = _parse_chain_lines(entries, ell + 1)
-        literals = [chain[0][1]]
-        for i in range(1, ell + 1):
-            literals.append(chain[i - 1][2])
-            literals.append(chain[i][1])
-        literals.append(chain[ell][2])
         try:
-            return Bicycle(ell, tuple(literals), i0, i1, tuple(c[0] for c in chain))
+            return Bicycle.from_links(chain, i0, i1)
         except ValueError as exc:
             raise ParseError(str(exc)) from None
 
@@ -239,13 +234,7 @@ def parse_certificate(text: str) -> Bicycle | Snake:
     except ValueError:
         raise ParseError("snake header field must be an integer", header_line) from None
     chain = _parse_chain_lines(entries, ell + 1)
-    b = tuple(entry[1].var for entry in chain[1:])
     try:
-        return Snake(
-            ell,
-            b,
-            tuple((lead, trail) for _, lead, trail in chain),
-            tuple(c[0] for c in chain),
-        )
+        return Snake.from_links(chain)
     except ValueError as exc:
         raise ParseError(str(exc)) from None

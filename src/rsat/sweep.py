@@ -123,9 +123,12 @@ def _run_cell(args) -> SweepResult:
 def _worker_count() -> int:
     raw = os.environ.get("RSAT_THREADS", "1")
     try:
-        return max(1, int(raw))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise InvalidConfig(f"RSAT_THREADS must be a positive integer, got {raw!r}")
+    return workers
 
 
 def run_sweep(cfg: SweepConfig) -> list[SweepResult]:

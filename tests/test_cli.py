@@ -112,6 +112,14 @@ def test_sweep_csv_stdout(capsys):
     assert len(lines) == 3
 
 
+def test_sweep_rejects_bad_thread_count(capsys, monkeypatch):
+    monkeypatch.setenv("RSAT_THREADS", "abc")
+    code, out, err = run(capsys, "sweep", "--k", "2", "--v", "finite:2", "--n", "20",
+                         "--c", "1", "--trials", "2")
+    assert code == 1 and out == ""
+    assert "RSAT_THREADS" in err and "'abc'" in err
+
+
 def test_bounds_output(capsys):
     code, out, _ = run(capsys, "bounds", "--k", "3")
     assert code == 0

@@ -165,6 +165,8 @@ def test_certificate_parse_errors():
         parse_certificate("cert tricycle 2 2 1\n")
     with pytest.raises(ParseError):
         parse_certificate("cert bicycle 2 2\n")  # missing i1
+    with pytest.raises(ParseError):
+        parse_certificate("cert bicycle -1 2 1\n")  # no chain lines at all
     _, cert = _bicycle_fixture()
     text = render_certificate(cert)
     with pytest.raises(ParseError):

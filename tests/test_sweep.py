@@ -79,6 +79,13 @@ def test_sweep_parallel_output_matches_serial(monkeypatch):
     assert serial == parallel
 
 
+@pytest.mark.parametrize("raw", ["two", "0", "-1", ""])
+def test_bad_thread_count_is_rejected(raw, monkeypatch):
+    monkeypatch.setenv("RSAT_THREADS", raw)
+    with pytest.raises(InvalidConfig, match=f"got {raw!r}"):
+        run_sweep(small_config(trials=1))
+
+
 def test_low_ratio_cell_is_nearly_always_sat():
     cfg = SweepConfig(
         k=2, vspecs=(Finite(2),), n_values=(50,), c_grid=(F(1, 10),), trials=50, seed=7
