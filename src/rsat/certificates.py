@@ -89,7 +89,7 @@ class Bicycle:
             )
 
     @classmethod
-    def from_links(cls, links, i0: int, i1: int) -> "Bicycle":
+    def from_links(cls, links, i0: int, i1: int) -> Bicycle:
         """The bicycle whose chain is ``links``: (clause index, f_i, t_{i+1})
         for i = 0..ell."""
         literals = tuple(lit for _, lead, trail in links for lit in (lead, trail))
@@ -191,7 +191,7 @@ def find_bicycle(f: Formula, budget: int = DEFAULT_FIND_BUDGET):
     steps = [0]
 
     def dfs(chain, pos):
-        # pos: interior variable -> its position i, the lead variable of chain[i]
+        # pos: interior variable -> its index i in 1..ell; chain[i] leads on it
         steps[0] += 1
         if steps[0] > budget:
             raise _BudgetHit
@@ -253,7 +253,7 @@ class Snake:
             raise ValueError(f"snake of ell={self.ell} needs {self.ell + 1} clause indices")
 
     @classmethod
-    def from_links(cls, links) -> "Snake":
+    def from_links(cls, links) -> Snake:
         """The snake whose chain is ``links``: (clause index, lead_i, trail_i)
         for i = 0..ell."""
         return cls(
@@ -323,11 +323,11 @@ def find_snake(f: Formula, budget: int = DEFAULT_FIND_BUDGET, max_half: int | No
     var = c.var
     nodes, comp = literal_components(c)
 
-    def closes(s):
+    def on_closed_walk(s):
         u, w = nodes[s], nodes[s ^ 1]
         return u >= 0 and w >= 0 and comp[u ^ 1] == comp[w]
 
-    by_lead, successors = _chain_graph(c, closes)
+    by_lead, successors = _chain_graph(c, on_closed_walk)
     if max_half is None:
         if f.m > 2 * f.n and f.n >= 2:
             max_half = 2 + math.ceil(math.log(f.n) / math.log(f.m / (2 * f.n)))
@@ -357,7 +357,7 @@ def find_snake(f: Formula, budget: int = DEFAULT_FIND_BUDGET, max_half: int | No
                 return None
             if len(chain) < 3:
                 return None
-            d1 = len(chain)
+            d1 = len(chain)  # the first half closed; walk the second
         elif d1 is not None and len(chain) - d1 >= d1 + 1:
             return None  # second half can be at most one clause longer
         for t in successors(s):
