@@ -13,8 +13,15 @@ satisfied literals, and those endpoints are literal bounds.
 :func:`compile_slots` from the sampler's integer draws, so a sweep builds
 no Fraction.
 
-* :func:`solve_complete` -- backtracking with unit propagation over
-  candidate bitmasks, for every k; intended for oracle scale.
+* :func:`solve_complete` -- for every k, backtracking with unit
+  propagation over per-variable candidate bitmasks.  The search is
+  iterative: an explicit stack of open nodes, so its depth does not depend
+  on the interpreter's recursion limit, and a trail of (variable, old
+  mask) entries undone on backtrack.  Occurrence lists send propagation
+  only to the clauses of variables narrowed since the last fixpoint.  It
+  branches on the first unsatisfied clause with the fewest live literals
+  and takes a leaf's lowest candidates, so it builds the same tree, node
+  for node, as the copy-per-branch recursion it replaced.
 
 * :func:`solve_2rsat_scc` -- for k = 2, the 2-SAT algorithm of Aspvall,
   Plass and Tarjan (1979).  A variable with candidates d_0 < ... < d_{N-1}
@@ -153,9 +160,10 @@ def candidate_domains(f: Formula) -> dict[int, list[Fraction]]:
 
 def _clause_masks(c: CompiledFormula):
     """Clauses as (var, candidate-bitmask) pairs; masks select satisfying
-    ranks.  Clauses one variable satisfies on every candidate are dropped."""
+    ranks.  Clauses one variable satisfies on every candidate are dropped.
+    ``full[j]`` is variable j's all-candidates mask (``full[0]`` is 0)."""
     start, k = c.start, c.k
-    full = {j: (1 << (start[j + 1] - start[j])) - 1 for j in range(1, c.n + 1)}
+    full = [0] + [(1 << (start[j + 1] - start[j])) - 1 for j in range(1, c.n + 1)]
     masks = []
     for i in range(0, len(c.var), k):
         per_var: dict[int, int] = {}
@@ -177,74 +185,100 @@ def solve_complete(
     expanded; never returns a wrong answer.
     """
     c = f if isinstance(f, CompiledFormula) else compile_formula(f)
-    masks, full = _clause_masks(c)
-    found = _search(dict(full), list(range(len(masks))), masks, [0], budget)
-    if found is None:
-        return _result(c, None)
-    return _result(c, [0] + [c.start[j] + found[j].bit_length() - 1 for j in range(1, c.n + 1)])
-
-
-def _search(dom, active, compiled, nodes, budget):
-    nodes[0] += 1
-    if nodes[0] > budget:
-        raise ResourceLimit(f"search budget of {budget} nodes exhausted")
-
-    # unit propagation to fixpoint
+    masks, dom = _clause_masks(c)
+    occ: list[list[int]] = [[] for _ in dom]  # clause ids per variable
+    for cid, clause in enumerate(masks):
+        for j, _ in clause:
+            occ[j].append(cid)
+    trail: list[tuple[int, int]] = []  # (var, mask before a narrowing)
+    frames = []  # per open node: [unsatisfied clauses, branch literals, next branch, trail mark]
+    active = list(range(len(masks)))
+    work = [[cid for cid, clause in enumerate(masks) if len(clause) == 1]]
+    nodes = 0
     while True:
-        changed = False
-        still = []
-        for cid in active:
-            satisfied = False
-            live = []
-            for var, mask in compiled[cid]:
-                d = dom[var]
-                dm = d & mask
-                if dm == d:
-                    satisfied = True
-                    break
-                if dm:
-                    live.append((var, mask))
-            if satisfied:
+        nodes += 1
+        if nodes > budget:
+            raise ResourceLimit(f"search budget of {budget} nodes exhausted")
+        if _propagate(dom, trail, masks, occ, work):
+            active, branch = _unsatisfied(dom, masks, active)
+            if branch is None:  # every clause holds: take the lowest candidates left
+                return _result(c, [0] + [c.start[j] + (d & -d).bit_length() - 1
+                                         for j, d in enumerate(dom) if j])
+            live = [(j, mask) for j, mask in masks[branch] if dom[j] & mask]
+            frames.append([active, live, 0, len(trail)])
+        while frames:  # undo to the deepest node with a branch left, and take it
+            frame = frames[-1]
+            active, live, i, mark = frame
+            while len(trail) > mark:
+                j, d = trail.pop()
+                dom[j] = d
+            if i == len(live):
+                frames.pop()
                 continue
-            if not live:
-                return None
-            if len(live) == 1:
-                var, mask = live[0]
-                dom[var] &= mask
-                changed = True
-            else:
-                still.append(cid)
-        active = still
-        if not changed:
+            frame[2] = i + 1
+            # branch i makes the first i live literals false and the i-th
+            # true, a complete partition that reaches conflicts far sooner
+            # than blind domain splitting; no domain empties, because no
+            # literal of an unsatisfied clause holds on its whole domain
+            for j, mask in live[:i]:
+                trail.append((j, dom[j]))
+                dom[j] &= ~mask
+            j, mask = live[i]
+            trail.append((j, dom[j]))
+            dom[j] &= mask
+            work = [occ[j] for j, _ in live[: i + 1]]
             break
+        else:
+            return _result(c, None)
 
-    if not active:
-        return {var: d & (-d) for var, d in dom.items()}  # lowest remaining value
 
-    # branch on the tightest unsatisfied clause: branch i makes its first
-    # i-1 live literals false and the i-th true, a complete partition that
-    # reaches conflicts far sooner than blind domain splitting
-    branch_cid = min(
-        active,
-        key=lambda cid: sum(1 for var, mask in compiled[cid] if dom[var] & mask),
-    )
-    live = [(var, mask) for var, mask in compiled[branch_cid] if dom[var] & mask]
-    for i, (var, mask) in enumerate(live):
-        child = dict(dom)
-        feasible = True
-        for prev_var, prev_mask in live[:i]:
-            narrowed = child[prev_var] & ~prev_mask
-            if narrowed == 0:
-                feasible = False
+def _propagate(dom, trail, masks, occ, work) -> bool:
+    """Unit propagation to fixpoint from the clause-id lists on ``work``.
+
+    A clause left with one live literal narrows that literal's variable,
+    on the trail, and queues the variable's clauses; returns False on a
+    clause with no live literal.  The fixpoint, and whether it falsifies
+    a clause, do not depend on the order clauses are visited in.
+    """
+    while work:
+        for cid in work.pop():
+            unit = None
+            for j, mask in masks[cid]:
+                d = dom[j]
+                dm = d & mask
+                if dm:
+                    if dm == d or unit is not None:
+                        break  # satisfied, or two live literals
+                    unit = j, dm
+            else:
+                if unit is None:
+                    return False
+                j, dm = unit
+                trail.append((j, dom[j]))
+                dom[j] = dm
+                work.append(occ[j])
+    return True
+
+
+def _unsatisfied(dom, masks, active):
+    """The clauses of ``active`` still unsatisfied at a fixpoint, in order,
+    and the first with the fewest live literals (None when all hold)."""
+    still = []
+    branch, fewest = None, len(dom)  # above any live count: a clause has at most n variables
+    for cid in active:
+        count = 0
+        for j, mask in masks[cid]:
+            d = dom[j]
+            dm = d & mask
+            if dm == d:
                 break
-            child[prev_var] = narrowed
-        if not feasible:
-            continue
-        child[var] &= mask
-        found = _search(child, active, compiled, nodes, budget)
-        if found is not None:
-            return found
-    return None
+            if dm:
+                count += 1
+        else:
+            still.append(cid)
+            if count < fewest:
+                branch, fewest = cid, count
+    return still, branch
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,8 @@ class SweepConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise InvalidConfig(f"trials must be >= 1, got {self.trials}")
+        if self.budget < 1:
+            raise InvalidConfig(f"budget must be >= 1, got {self.budget}")
         if not self.vspecs or not self.n_values or not self.c_grid:
             raise InvalidConfig("vspecs, n_values and c_grid must be non-empty")
         if any(c <= 0 for c in self.c_grid):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from rsat import eval_formula, vspec_values
+from rsat import CONTINUOUS, Formula, Literal, Rel, eval_formula, vspec_values
 
 
 def brute_force_solve(f) -> bool:
@@ -67,3 +67,19 @@ def least_squares_line(xs, ys):
     sxy = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
     slope = sxy / sxx
     return mean_y - slope * mean_x, slope
+
+
+def deep_pairs_formula(pairs: int):
+    """SAT width-2 formula whose complete search runs ``pairs`` levels deep.
+
+    Pair i on x_a, x_b (a = 2i+1, b = 2i+2) holds (x_a <= 1/3 or x_b <= 1/3)
+    and (x_a >= 2/3 or x_b >= 2/3); no literal is a unit, so each pair costs
+    one branch, and the pairs share no variable.
+    """
+    low, high = Fraction(1, 3), Fraction(2, 3)
+    clauses = []
+    for i in range(pairs):
+        a, b = 2 * i + 1, 2 * i + 2
+        clauses.append((Literal(a, Rel.LE, low), Literal(b, Rel.LE, low)))
+        clauses.append((Literal(a, Rel.GE, high), Literal(b, Rel.GE, high)))
+    return Formula(2, 2 * pairs, tuple(clauses), CONTINUOUS)

@@ -1,6 +1,8 @@
 import rsat
 from rsat.cli import main
 
+from oracles import deep_pairs_formula
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -118,6 +120,22 @@ def test_sweep_rejects_bad_thread_count(capsys, monkeypatch):
                          "--c", "1", "--trials", "2")
     assert code == 1 and out == ""
     assert "RSAT_THREADS" in err and "'abc'" in err
+
+
+def test_sweep_rejects_budget_below_one(capsys):
+    code, out, err = run(capsys, "sweep", "--k", "3", "--v", "continuous", "--n", "10",
+                         "--c", "4", "--trials", "3", "--budget", "0")
+    assert code == 1 and out == ""
+    assert "budget must be >= 1, got 0" in err
+
+
+def test_solve_complete_on_deep_formula(capsys, tmp_path):
+    # its search runs 1200 branch levels deep
+    path = tmp_path / "deep.rsat"
+    path.write_text(rsat.render_formula(deep_pairs_formula(1200)))
+    code, out, _ = run(capsys, "solve", str(path), "--decider", "complete")
+    assert code == 0
+    assert out.splitlines()[0] == "SAT"
 
 
 def test_bounds_output(capsys):

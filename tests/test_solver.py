@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction as F
 
 import pytest
@@ -22,7 +23,7 @@ from rsat import (
     solve_2rsat_scc,
     solve_complete,
 )
-from oracles import brute_force_count_tight, brute_force_solve
+from oracles import brute_force_count_tight, brute_force_solve, deep_pairs_formula
 
 
 def le(var, num, den=1):
@@ -105,6 +106,77 @@ def test_witnesses_are_tight():
                 assert eval_formula(f, res.witness)
                 for var, value in res.witness.items():
                     assert value in doms[var]
+
+
+def witness_digest(witness):
+    if witness is None:
+        return None
+    text = " ".join(f"{j}={v}" for j, v in sorted(witness.items()))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def assert_search_pinned(f, nodes, sat, digest):
+    """``nodes`` is the search's node count: the budget boundary reveals it."""
+    result = solve_complete(f, budget=nodes)
+    assert (result.sat, witness_digest(result.witness)) == (sat, digest)
+    with pytest.raises(ResourceLimit):
+        solve_complete(f, budget=nodes - 1)
+
+
+# node count, verdict and witness of the backtracking search, recorded
+# before the search moved to a trail; any change to the search tree
+# (branch clause, branch order, propagation or the leaf's value) shows here
+SEARCH_PINS = [
+    # k, n, m, vspec, distinct variables, seed, nodes, sat, witness digest
+    (2, 30, 60, "continuous", False, 80004, 15, True, "b59f41552ecfc3f6"),
+    (2, 30, 60, "continuous", True, 80005, 19, True, "60e1c870e6b41b87"),
+    (2, 30, 60, "finite:3", False, 80000, 11, True, "8032358cab927dfb"),
+    (2, 30, 60, "finite:3", True, 80005, 12, True, "297017778cd18beb"),
+    (2, 30, 60, "dyadic:2", False, 80004, 12, True, "3b3303c8b38594c6"),
+    (2, 30, 60, "dyadic:2", True, 80005, 15, True, "81e26ffe554cb4eb"),
+    (3, 20, 170, "continuous", False, 80006, 37, True, "06ac8d828796bcb9"),
+    (3, 20, 170, "continuous", True, 80002, 115, True, "187f0b65b0ba4e91"),
+    (3, 20, 170, "finite:3", False, 80001, 29, False, None),
+    (3, 20, 170, "finite:3", True, 80000, 46, False, None),
+    (3, 20, 170, "dyadic:2", False, 80001, 51, True, "7c0bfc93d21e99d8"),
+    (3, 20, 170, "dyadic:2", True, 80001, 72, False, None),
+    (4, 14, 280, "continuous", False, 80003, 49, True, "090403f0f5bb9f29"),
+    (4, 14, 280, "continuous", True, 80001, 67, True, "722f6793837c071e"),
+    (4, 14, 280, "finite:3", False, 80007, 49, False, None),
+    (4, 14, 280, "finite:3", True, 80000, 105, False, None),
+    (4, 14, 280, "dyadic:2", False, 80000, 155, False, None),
+    (4, 14, 280, "dyadic:2", True, 80005, 170, True, "fae82cebe796d372"),
+]
+
+
+@pytest.mark.parametrize("k, n, m, token, distinct, seed, nodes, sat, digest", SEARCH_PINS)
+def test_complete_search_tree_pinned(k, n, m, token, distinct, seed, nodes, sat, digest):
+    vspec = {"continuous": CONTINUOUS, "finite:3": Finite(3), "dyadic:2": Dyadic(2)}[token]
+    f = sample_formula(GenConfig(k=k, n=n, m=m, vspec=vspec, distinct_vars_per_clause=distinct,
+                                 seed=seed))
+    assert_search_pinned(f, nodes, sat, digest)
+
+
+@pytest.mark.parametrize(
+    "m, seed, nodes, sat",
+    [(240, 90006, 213, False), (240, 90003, 117, True), (252, 90002, 153, False),
+     (252, 90003, 111, True), (264, 90005, 383, False), (264, 90003, 247, False)],
+)
+def test_complete_search_tree_pinned_on_sweep_draws(m, seed, nodes, sat):
+    # the sweep-k3-complete benchmark's shape (k=3, n=24, c = 10, 21/2, 11),
+    # compiled from integer draws as run_sweep does; such a form has no witness
+    from rsat.sampler import draw_slots
+    from rsat.solver import compile_slots
+
+    f = compile_slots(3, 24, *draw_slots(GenConfig(k=3, n=24, m=m, vspec=CONTINUOUS, seed=seed)))
+    assert_search_pinned(f, nodes, sat, None)
+
+
+def test_complete_search_depth_is_not_bounded_by_recursion_limit():
+    f = deep_pairs_formula(1200)  # one branch level per pair
+    result = solve_complete(f)
+    assert result.sat and solve_2rsat_scc(f).sat
+    assert eval_formula(f, result.witness)
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,13 @@ def test_config_validation():
         small_config(k=3, decider="scc")
 
 
+@pytest.mark.parametrize("budget", [0, -1])
+def test_budget_below_one_is_rejected(budget):
+    # a zero budget would count every complete-decider trial as limited
+    with pytest.raises(InvalidConfig, match=f"budget must be >= 1, got {budget}"):
+        small_config(k=3, decider="complete", budget=budget)
+
+
 def test_sweep_deterministic_and_csv_schema():
     cfg = small_config()
     first = render_sweep_csv(run_sweep(cfg))
