@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from statistics import NormalDist
 from typing import Optional, Sequence
 
 from .errors import DomainError
@@ -112,53 +113,6 @@ def expected_tight_bound(n: int, m: int, k: int) -> float:
 # ---------------------------------------------------------------------------
 # Binomial confidence intervals
 
-# Inverse normal CDF: Acklam's rational approximation plus one Halley step
-# through erfc, accurate to machine precision over (0, 1).
-_PPF_A = (
-    -3.969683028665376e01, 2.209460984245205e02, -2.759285104469687e02,
-    1.383577518672690e02, -3.066479806614716e01, 2.506628277459239e00,
-)
-_PPF_B = (
-    -5.447609879822406e01, 1.615858368580409e02, -1.556989798598866e02,
-    6.680131188771972e01, -1.328068155288572e01,
-)
-_PPF_C = (
-    -7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e00,
-    -2.549732539343734e00, 4.374664141464968e00, 2.938163982698783e00,
-)
-_PPF_D = (
-    7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e00,
-    3.754408661907416e00,
-)
-
-
-def _norm_ppf(p: float) -> float:
-    if not 0.0 < p < 1.0:
-        raise DomainError(f"quantile level must be in (0, 1), got {p}")
-    a, b, c, d = _PPF_A, _PPF_B, _PPF_C, _PPF_D
-    p_low = 0.02425
-    if p < p_low:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        )
-    elif p <= 1.0 - p_low:
-        q = p - 0.5
-        r = q * q
-        x = (
-            (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5])
-            * q
-            / (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
-        )
-    else:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        x = -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        )
-    err = 0.5 * math.erfc(-x / math.sqrt(2.0)) - p
-    u = err * math.sqrt(2.0 * math.pi) * math.exp(0.5 * x * x)
-    return x - u / (1.0 + 0.5 * x * u)
-
 
 def wilson_interval(successes: int, trials: int, confidence: float) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion."""
@@ -168,7 +122,7 @@ def wilson_interval(successes: int, trials: int, confidence: float) -> tuple[flo
         raise DomainError(f"successes {successes} outside 0..{trials}")
     if not 0.0 < confidence < 1.0:
         raise DomainError(f"confidence must be in (0, 1), got {confidence}")
-    z = _norm_ppf(0.5 + confidence / 2.0)
+    z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
     p_hat = successes / trials
     z2 = z * z
     denom = 1.0 + z2 / trials

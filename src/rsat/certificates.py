@@ -5,9 +5,9 @@ sign disjointness (the checkers never consult a decider):
 
 * a *bicycle* is a chain of clauses linked through disjoint literal pairs
   on distinct variables, with both chain ends folding back onto interior
-  variables.  Every unsatisfiable width-2 formula with enough structure
-  contains one, so an exhaustive search that comes back empty certifies
-  satisfiability.
+  variables.  Every unsatisfiable width-2 formula with distinct variables
+  per clause contains one that the finder reads off one walk, so its None
+  certifies satisfiability on that model.
 
 * a *snake* is a closed double chain through a distinguished middle
   variable; its presence forces the middle literal to be neither
@@ -16,14 +16,14 @@ sign disjointness (the checkers never consult a decider):
 
 Both finders walk one *chain graph* built on the compiled form
 (:func:`rsat.solver.compile_formula`).  Its nodes are the orientations of
-the two-variable clauses, each named by its lead slot; an arc runs from s
-to t when t's lead is sign-disjoint from s's trail, which the ranks
-decide without a Fraction.  A chain of orientations becomes a certificate
-through ``Bicycle.from_links`` or ``Snake.from_links``, and every found
+the two-variable clauses that lie on a closed walk of the SCC decider's
+digraph, each named by its lead slot; an arc runs from s to t when t's
+lead is sign-disjoint from s's trail, which the ranks decide without a
+Fraction.  A chain of orientations becomes a certificate through
+``Bicycle.from_links`` or ``Snake.from_links``, and every found
 certificate must pass its checker, which reads the formula's Literals,
-not the ranks.  The bicycle finder is exhaustive within budget (NONE is a
-definitive answer), the snake finder is best effort (NONE proves
-nothing).
+not the ranks.  The bicycle finder is a greedy walk, not an exhaustive
+search; the snake finder is best effort (None proves nothing).
 """
 
 from __future__ import annotations
@@ -134,23 +134,28 @@ def verify_bicycle(f: Formula, cert: Bicycle) -> bool:
     return True
 
 
-def _chain_graph(c: CompiledFormula, keep=None):
-    """The chain graph of width-2 ``c``: orientations and their successors.
+def _chain_graph(c: CompiledFormula):
+    """The closed-walk chain graph of width-2 ``c``: orientations and their
+    successors.
 
     An orientation of clause i is named by its lead slot s (2i or 2i+1);
-    its trail is slot ``s ^ 1``.  ``by_lead[j]`` lists, in slot order, the
-    orientations that lead on x_j and that ``keep(s)`` admits (default:
-    all), leaving out clauses with both literals on one variable, which no
-    chain certificate can use.  ``successors(s)`` lists the orientations in
-    ``by_lead`` whose lead is sign-disjoint from s's trail: the relations
-    differ and the ``>=`` rank is strictly greater than the ``<=`` rank (a
-    tie is not disjoint).  A successor list depends only on the trail
-    literal, so each is built on first use and shared.
+    its trail is slot ``s ^ 1``.  It is kept when its clause arc, from the
+    complement of its lead to its trail, lies inside one strongly connected
+    component of the SCC decider's digraph, so that some closed walk uses
+    it.  ``by_lead[j]`` lists, in slot order, the kept orientations that
+    lead on x_j, leaving out clauses with both literals on one variable,
+    which no chain certificate can use.  ``successors(s)`` lists the
+    orientations in ``by_lead`` whose lead is sign-disjoint from s's trail:
+    the relations differ and the ``>=`` rank is strictly greater than the
+    ``<=`` rank (a tie is not disjoint).  A successor list depends only on
+    the trail literal, so each is built on first use and shared.
     """
     var, ge, rank = c.var, c.ge, c.rank
+    nodes, comp = literal_components(c)
     by_lead: dict[int, list[int]] = {}
     for s in range(len(var)):
-        if var[s] != var[s ^ 1] and (keep is None or keep(s)):
+        u, w = nodes[s], nodes[s ^ 1]
+        if var[s] != var[s ^ 1] and u >= 0 and w >= 0 and comp[u ^ 1] == comp[w]:
             by_lead.setdefault(var[s], []).append(s)
     cache: dict[tuple[int, int], list[int]] = {}
 
@@ -176,53 +181,54 @@ def _links(f: Formula, chain):
     return [(s >> 1, f.clauses[s >> 1][s & 1], f.clauses[s >> 1][(s ^ 1) & 1]) for s in chain]
 
 
-def find_bicycle(f: Formula, budget: int = DEFAULT_FIND_BUDGET):
-    """Exhaustive chain search.
+def find_bicycle(f: Formula):
+    """Read a bicycle off one greedy walk on the closed-walk chain graph.
 
-    Returns a verified Bicycle, or None after the full chain space was
-    searched (then no bicycle exists), or BUDGET_EXHAUSTED when the budget
-    ran out first.
+    The walk starts from the first kept orientation (lead variables
+    ascending, then slot order) and always steps to the first successor.
+    Its run of variables from just after the first repeated variable up to
+    the next repeat is a bicycle: the repeat gives i0 >= 2, and the end
+    folds back with i1 <= ell - 1 because a clause joins two variables.
+
+    A kept orientation's way back from its trail to its lead's complement
+    stays in one component and leaves the trail's variable through a clause
+    arc, so it has a kept successor unless that clause is on one variable.
+    A walk that dead-ends there is dropped and the next start is tried, so
+    with repeated variables the work can grow to the number of starts
+    times the walk length.  With distinct variables per clause no walk
+    dead-ends, and an unsatisfiable formula, whose x and not-x share a
+    component, has a kept orientation; so there None certifies
+    satisfiability.  In general None means only that no walk reached a
+    bicycle.
+
+    Returns a verified Bicycle or None.
     """
     if f.k != 2:
         raise WrongArity(f"bicycles are defined for k = 2, got k = {f.k}")
     c = compile_formula(f)
     var = c.var
     by_lead, successors = _chain_graph(c)
-    steps = [0]
-
-    def dfs(chain, pos):
-        # pos: interior variable -> its index i in 1..ell; chain[i] leads on it
-        steps[0] += 1
-        if steps[0] > budget:
-            raise _BudgetHit
-        s = chain[-1]
-        next_var = var[s ^ 1]
-        if len(chain) >= 3:
-            i0, i1 = pos.get(var[chain[0]]), pos.get(next_var)
-            if i0 not in (None, 1) and i1 not in (None, len(chain) - 1):
-                cert = Bicycle.from_links(_links(f, chain), i0, i1)
-                if verify_bicycle(f, cert):
+    for lead_var in sorted(by_lead):
+        for start in by_lead[lead_var]:
+            # chain[i] leads on the walk's i-th variable; pos maps a variable
+            # to where the walk last reached it, and the bicycle's chain
+            # starts at q, the first visit of the first repeated variable
+            chain, pos, q = [start], {lead_var: 0}, None
+            while True:
+                r, v = len(chain), var[chain[-1] ^ 1]
+                j = pos.get(v, -1)
+                if q is not None and j > q:  # repeat inside the run: t_{ell+1} folds onto t_{i1}
+                    cert = Bicycle.from_links(_links(f, chain[q:]), i0, j - q)
+                    if not verify_bicycle(f, cert):
+                        raise AssertionError("bicycle finder produced an invalid certificate")
                     return cert
-        if next_var in pos:
-            return None
-        pos[next_var] = len(chain)
-        for t in successors(s):
-            chain.append(t)
-            found = dfs(chain, pos)
-            if found is not None:
-                return found
-            chain.pop()
-        del pos[next_var]
-        return None
-
-    try:
-        for lead_var in sorted(by_lead):
-            for start in by_lead[lead_var]:
-                found = dfs([start], {})
-                if found is not None:
-                    return found
-    except _BudgetHit:
-        return BUDGET_EXHAUSTED
+                if q is None and j >= 0:  # first repeat: f_0 folds onto t_{i0}
+                    q, i0 = j, r - j
+                pos[v] = r
+                nxt = successors(chain[-1])
+                if not nxt:
+                    break
+                chain.append(nxt[0])
     return None
 
 
@@ -302,7 +308,7 @@ def verify_snake(f: Formula, cert: Snake) -> bool:
     return True
 
 
-def find_snake(f: Formula, budget: int = DEFAULT_FIND_BUDGET, max_half: int | None = None):
+def find_snake(f: Formula, budget: int = DEFAULT_FIND_BUDGET):
     """Best-effort closed-chain search; None proves nothing.
 
     Walks disjointness-linked clause chains out of a candidate middle
@@ -310,10 +316,10 @@ def find_snake(f: Formula, budget: int = DEFAULT_FIND_BUDGET, max_half: int | No
     (d, d+1) closes into a snake of length 2d, which is then verified.
     Every literal of a snake clause sits in a disjointness link on its
     variable, so the walk's implication cycle puts the complement of each
-    lead in one strongly connected component with its trail; orientations
-    failing that are pruned up front.  ``max_half`` caps the first half's
-    length (default: a small margin above log n / log(m/2n), where closed
-    walks become plentiful).
+    lead in one strongly connected component with its trail; the
+    closed-walk chain graph holds only such orientations.  The first half
+    is at most a small margin above log n / log(m/2n) long, where closed
+    walks become plentiful.
     """
     if f.k != 2:
         raise WrongArity(f"snakes are defined for k = 2, got k = {f.k}")
@@ -321,18 +327,11 @@ def find_snake(f: Formula, budget: int = DEFAULT_FIND_BUDGET, max_half: int | No
         return None
     c = compile_formula(f)
     var = c.var
-    nodes, comp = literal_components(c)
-
-    def on_closed_walk(s):
-        u, w = nodes[s], nodes[s ^ 1]
-        return u >= 0 and w >= 0 and comp[u ^ 1] == comp[w]
-
-    by_lead, successors = _chain_graph(c, on_closed_walk)
-    if max_half is None:
-        if f.m > 2 * f.n and f.n >= 2:
-            max_half = 2 + math.ceil(math.log(f.n) / math.log(f.m / (2 * f.n)))
-        else:
-            max_half = f.n
+    by_lead, successors = _chain_graph(c)
+    if f.m > 2 * f.n and f.n >= 2:
+        max_half = 2 + math.ceil(math.log(f.n) / math.log(f.m / (2 * f.n)))
+    else:
+        max_half = f.n
     steps = [0]
 
     def assemble(chain):

@@ -16,7 +16,6 @@ from fractions import Fraction
 
 from . import analytics
 from .certificates import (
-    BUDGET_EXHAUSTED,
     DEFAULT_FIND_BUDGET,
     Bicycle,
     find_bicycle,
@@ -81,7 +80,7 @@ def _build_parser() -> _Parser:
     p_find.add_argument("kind", choices=("bicycle", "snake"))
     p_find.add_argument("file", nargs="?", default=None)
     p_find.add_argument("--stdin", action="store_true")
-    p_find.add_argument("--budget", type=int, default=DEFAULT_FIND_BUDGET)
+    p_find.add_argument("--budget", type=int, default=None, help="snake search steps")
     p_find.add_argument("--out", default=None)
     p_verify = cert_sub.add_parser("verify", help="check a certificate against a formula")
     p_verify.add_argument("file", nargs="?", default=None)
@@ -168,14 +167,13 @@ def _cmd_solve(args) -> int:
 
 def _cmd_cert(args) -> int:
     if args.cert_command == "find":
+        if args.kind == "bicycle" and args.budget is not None:
+            raise _UsageError("--budget applies to snake searches only")
         f = _read_formula(args)
         if args.kind == "bicycle":
-            outcome = find_bicycle(f, budget=args.budget)
+            outcome = find_bicycle(f)
         else:
-            outcome = find_snake(f, budget=args.budget)
-        if outcome is BUDGET_EXHAUSTED:
-            print("BUDGET-EXHAUSTED")
-            return EXIT_RESOURCE
+            outcome = find_snake(f, DEFAULT_FIND_BUDGET if args.budget is None else args.budget)
         if outcome is None:
             print("NONE")
             return EXIT_OK

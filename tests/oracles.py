@@ -10,7 +10,18 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from rsat import CONTINUOUS, Formula, Literal, Rel, eval_formula, vspec_values
+from rsat import (
+    BUDGET_EXHAUSTED,
+    CONTINUOUS,
+    Bicycle,
+    Formula,
+    Literal,
+    Rel,
+    eval_formula,
+    signs_disjoint,
+    verify_bicycle,
+    vspec_values,
+)
 
 
 def brute_force_solve(f) -> bool:
@@ -83,3 +94,83 @@ def deep_pairs_formula(pairs: int):
         clauses.append((Literal(a, Rel.LE, low), Literal(b, Rel.LE, low)))
         clauses.append((Literal(a, Rel.GE, high), Literal(b, Rel.GE, high)))
     return Formula(2, 2 * pairs, tuple(clauses), CONTINUOUS)
+
+
+class _OutOfSteps(Exception):
+    pass
+
+
+def exhaustive_bicycle(f, budget: int):
+    """Every bicycle chain, depth first, on the formula's Literals.
+
+    Returns the first chain that passes ``verify_bicycle``, None when the
+    whole chain space holds none, or BUDGET_EXHAUSTED after ``budget``
+    search steps.  Chains start from each clause read in both directions,
+    lead variables ascending, then clause order, and extend through
+    clauses whose lead is sign-disjoint from the last trail.  Clauses on
+    one variable take part in no chain.
+    """
+    by_lead: dict[int, list[tuple[int, Literal, Literal]]] = {}
+    for idx, (u, w) in enumerate(f.clauses):
+        if u.var != w.var:
+            by_lead.setdefault(u.var, []).append((idx, u, w))
+            by_lead.setdefault(w.var, []).append((idx, w, u))
+    steps = 0
+
+    def bicycle(chain, link_vars):
+        ell = len(chain) - 1
+        i0 = next((i for i in range(2, ell + 1) if link_vars[i - 1] == chain[0][1].var), None)
+        i1 = next((i for i in range(1, ell) if link_vars[i - 1] == chain[-1][2].var), None)
+        if i0 is None or i1 is None:
+            return None
+        literals = tuple(lit for _, lead, trail in chain for lit in (lead, trail))
+        cert = Bicycle(ell, literals, i0, i1, tuple(idx for idx, _, _ in chain))
+        return cert if verify_bicycle(f, cert) else None
+
+    def dfs(chain, link_vars):
+        nonlocal steps
+        steps += 1
+        if steps > budget:
+            raise _OutOfSteps
+        if len(chain) >= 3:
+            cert = bicycle(chain, link_vars)
+            if cert is not None:
+                return cert
+        trail = chain[-1][2]
+        if trail.var in link_vars:
+            return None
+        link_vars.append(trail.var)
+        for cand in by_lead.get(trail.var, ()):
+            if signs_disjoint(trail, cand[1]):
+                chain.append(cand)
+                found = dfs(chain, link_vars)
+                if found is not None:
+                    return found
+                chain.pop()
+        link_vars.pop()
+        return None
+
+    try:
+        for lead_var in sorted(by_lead):
+            for start in by_lead[lead_var]:
+                found = dfs([start], [])
+                if found is not None:
+                    return found
+    except _OutOfSteps:
+        return BUDGET_EXHAUSTED
+    return None
+
+
+def ring_formula(length: int, closed: bool = True):
+    """SAT width-2 formula whose chain graph is one long cycle.
+
+    Clause i is (x_i >= 2/3 or x_{i+1} <= 1/3) for i = 1..length, with
+    x_{length+1} read as x_1 when ``closed``; open, it is a path on
+    length + 1 variables and no closed walk.  All x <= 1/3 satisfies both.
+    """
+    low, high = Fraction(1, 3), Fraction(2, 3)
+    n = length if closed else length + 1
+    clauses = tuple(
+        (Literal(i, Rel.GE, high), Literal(i % n + 1, Rel.LE, low)) for i in range(1, length + 1)
+    )
+    return Formula(2, n, clauses, CONTINUOUS)

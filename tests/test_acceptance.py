@@ -352,7 +352,7 @@ def test_c07_certificates_sound_and_necessary():
         if solve_complete(f).sat:
             continue
         unsat_seen += 1
-        out = find_bicycle(f, budget=5_000_000)
+        out = find_bicycle(f)
         if out is not None and out is not BUDGET_EXHAUSTED and verify_bicycle(f, out):
             bicycles += 1
     ok = snake_ok and snakes_checked >= 3 and bicycles == unsat_seen == 100

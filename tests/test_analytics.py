@@ -17,7 +17,7 @@ from rsat import (
     thm1_value,
     wilson_interval,
 )
-from rsat.analytics import _norm_ppf, falling_factorial
+from rsat.analytics import falling_factorial
 from oracles import three_sigma
 
 
@@ -215,13 +215,3 @@ def test_wilson_contains_estimate(trials, data):
     successes = data.draw(st.integers(min_value=0, max_value=trials))
     lo, hi = wilson_interval(successes, trials, 0.95)
     assert 0.0 <= lo <= successes / trials <= hi <= 1.0
-
-
-def test_norm_ppf_reference():
-    assert abs(_norm_ppf(0.975) - 1.959963984540054) < 1e-12
-    assert abs(_norm_ppf(0.5)) < 1e-15
-    assert abs(_norm_ppf(0.025) + _norm_ppf(0.975)) < 1e-12
-    # round trip through the normal CDF
-    for p in (0.001, 0.2, 0.7, 0.999):
-        x = _norm_ppf(p)
-        assert abs(0.5 * math.erfc(-x / math.sqrt(2)) - p) < 1e-13

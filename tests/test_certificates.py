@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -28,6 +29,8 @@ from rsat import (
     vspec_from_token,
     vspec_to_token,
 )
+from rsat.certificates import DEFAULT_FIND_BUDGET
+from oracles import exhaustive_bicycle, ring_formula
 
 
 def le(var, num, den=10):
@@ -93,14 +96,14 @@ def test_verify_bicycle_errors_and_ranges():
 def test_find_bicycle_on_planted_instance():
     f, _ = handmade_bicycle()
     assert solve_2rsat_scc(f).sat == solve_complete(f).sat  # adversarial agreement
-    found = find_bicycle(f)
+    found = exhaustive_bicycle(f, DEFAULT_FIND_BUDGET)
     assert found is not None and found is not BUDGET_EXHAUSTED
     assert verify_bicycle(f, found)
 
 
 def test_find_bicycle_budget_exhaustion():
     f = sample_formula(GenConfig(k=2, n=8, m=24, seed=777, distinct_vars_per_clause=True))
-    assert find_bicycle(f, budget=1) is BUDGET_EXHAUSTED
+    assert exhaustive_bicycle(f, 1) is BUDGET_EXHAUSTED
 
 
 @pytest.mark.parametrize("vspec", [CONTINUOUS, Finite(3), Dyadic(2)], ids=vspec_to_token)
@@ -114,7 +117,7 @@ def test_exhausted_none_implies_sat_on_distinct_model(vspec):
             GenConfig(k=2, n=8, m=20, vspec=vspec, seed=40_000 + seed,
                       distinct_vars_per_clause=True)
         )
-        out = find_bicycle(f, budget=3_000_000)
+        out = find_bicycle(f)
         if out is None:
             nones += 1
             assert solve_complete(f).sat
@@ -128,9 +131,14 @@ def test_bicycles_can_occur_in_satisfiable_formulas():
     t2, f2 = ge(2, 6), le(2, 4)
     f0, t3 = le(2, 9), ge(1, 1)
     f = Formula(2, 2, ((f0, t1), (f1, t2), (f2, t3)), CONTINUOUS)
-    found = find_bicycle(f)
+    cert = Bicycle(2, (f0, t1, f1, t2, f2, t3), 2, 1, (0, 1, 2))
+    assert verify_bicycle(f, cert)
+    found = exhaustive_bicycle(f, DEFAULT_FIND_BUDGET)
     assert found and verify_bicycle(f, found)
     assert solve_complete(f).sat
+    # no clause arc of this formula lies on a closed walk of the implication
+    # digraph, so the walk finder, which is not exhaustive, reports none
+    assert find_bicycle(f) is None
 
 
 def test_unsat_without_bicycle_when_clauses_repeat_variables():
@@ -140,7 +148,26 @@ def test_unsat_without_bicycle_when_clauses_repeat_variables():
     lo, hi = le(1, 3), ge(1, 7)
     f = Formula(2, 1, ((lo, lo), (hi, hi)), CONTINUOUS)
     assert not solve_complete(f).sat
-    assert find_bicycle(f, budget=1_000_000) is None
+    assert find_bicycle(f) is None
+
+
+def test_find_bicycle_on_long_ring():
+    # one closed walk through 1500 variables: the bicycle spans all of them,
+    # with no recursion, though the formula is satisfiable
+    f = ring_formula(1500)
+    found = find_bicycle(f)
+    assert found is not None and verify_bicycle(f, found)
+    assert (found.ell, found.i0, found.i1) == (1500, 1500, 1)
+    assert solve_2rsat_scc(f).sat
+    assert find_bicycle(ring_formula(1500, closed=False)) is None
+
+
+def test_find_bicycle_on_large_unsat_formula():
+    # the depth-first search spent its whole default budget here
+    f = sample_formula(GenConfig(k=2, n=3000, m=9000, seed=1, distinct_vars_per_clause=True))
+    assert not solve_2rsat_scc(f).sat
+    found = find_bicycle(f)
+    assert found is not None and verify_bicycle(f, found)
 
 
 # ---------------------------------------------------------------------------
@@ -273,10 +300,11 @@ def _outcome(cert):
     return hashlib.sha256(rsat.render_certificate(cert).encode()).hexdigest()
 
 
-# find_bicycle outcomes for seeds 60000-60009 on distinct-variables formulas
-# with n=8, m=16, recorded while both finders still compared Fraction
-# bounds; keyed by value set and budget (None: the default).  Budget 50
-# pins the step count.
+# exhaustive_bicycle outcomes for seeds 60000-60009 on distinct-variables
+# formulas with n=8, m=16, recorded while both finders still compared
+# Fraction bounds and the bicycle finder was this depth-first search; keyed
+# by value set and budget (None: DEFAULT_FIND_BUDGET).  Budget 50 pins the
+# step count.
 BICYCLE_PINS = {
     ("finite:3", None): [
         "NONE",
@@ -359,8 +387,86 @@ def test_find_bicycle_pinned(token, budget):
     for seed in range(60_000, 60_010):
         f = sample_formula(GenConfig(k=2, n=8, m=16, vspec=vspec_from_token(token),
                                      seed=seed, distinct_vars_per_clause=True))
-        outcomes.append(_outcome(find_bicycle(f) if budget is None else find_bicycle(f, budget)))
+        outcomes.append(_outcome(exhaustive_bicycle(f, budget or DEFAULT_FIND_BUDGET)))
     assert outcomes == BICYCLE_PINS[token, budget]
+
+
+# find_bicycle outcomes on the formulas of BICYCLE_PINS, recorded when the
+# finder became one walk; it reports NONE where the exhaustive search found
+# a bicycle at finite:3 and dyadic:2 seed 60007 and continuous seed 60002,
+# all three satisfiable
+BICYCLE_WALK_PINS = {
+    "finite:3": [
+        "NONE",
+        "68eb0c87d5479ba619d9e009bffe9df2fd16d8b1c2d4f27da914af3173ca25c9",
+        "4ba459bcbdf22682997d09a560aa67b39f7aa95675fd3e4511711106fecbebe1",
+        "NONE",
+        "NONE",
+        "f2485652afc303c7bc611f425c3544ed70a67c3e195721ac43c77c34d68571e0",
+        "2a2d0dd3a4dab1dc614d77b49de76d0695499d283c1ce85541eba36ad88a118e",
+        "NONE",
+        "NONE",
+        "4d9afa0794d6998277f4c1ec664e19d816849411ca864b9cebd43c00507a220d",
+    ],
+    "dyadic:2": [
+        "NONE",
+        "1adce33ad4154f105d6ff6b144ac2894de331d1904f3def6be4f2a3c5fecb562",
+        "acb209b20fd38be66e061595adbbccda97b071f576da58b90b0823cbac41cee9",
+        "NONE",
+        "NONE",
+        "d4430f9862291b96692931c04485ee9a8141f229420faa43692e5d184a95e2b6",
+        "b9cdb93f96e6108439c2e071d756918c8219498b27a688dea2dc12b6696ed29d",
+        "NONE",
+        "NONE",
+        "440412f6283b7004b0567d88af9b0d60f0af0418d8d165a3688a86a0f288e32a",
+    ],
+    "continuous": [
+        "NONE",
+        "455de2e53586819271f0f0f28bf9f3258f1b38dc072fd518974bf87e7be473cd",
+        "NONE",
+        "NONE",
+        "NONE",
+        "39e8aaf71a48ed2eb5bb255dd71b1ce5b77ba66f298329f00cd21c1f575b9aa3",
+        "8a84c9908f193049588848ac4d0b67c03c12e43ba4f843879e9bfbeff49d2399",
+        "NONE",
+        "NONE",
+        "984ff46263864c98ba1d7a5673e59e500dff60a25c686f55eb8bbacdb072f150",
+    ],
+}
+
+
+@pytest.mark.parametrize("token", list(BICYCLE_WALK_PINS))
+def test_find_bicycle_walk_pinned(token):
+    outcomes = []
+    for seed in range(60_000, 60_010):
+        f = sample_formula(GenConfig(k=2, n=8, m=16, vspec=vspec_from_token(token),
+                                     seed=seed, distinct_vars_per_clause=True))
+        outcomes.append(_outcome(find_bicycle(f)))
+    assert outcomes == BICYCLE_WALK_PINS[token]
+
+
+@pytest.mark.parametrize("distinct", [True, False], ids=["distinct", "repeats"])
+def test_find_bicycle_against_exhaustive_search(distinct):
+    # the walk is sound against the exhaustive search, and on the
+    # distinct-variables model it finds a bicycle in every UNSAT formula
+    grid = itertools.product(("finite:3", "finite:5", "dyadic:2", "continuous"),
+                             (8, 16, 32), (2, F(5, 2)), range(2))
+    nones = unsat_seen = 0
+    for i, (token, n, c, rep) in enumerate(grid):
+        f = sample_formula(GenConfig(k=2, n=n, m=int(c * n), vspec=vspec_from_token(token),
+                                     seed=61_000 + i, distinct_vars_per_clause=distinct))
+        found = find_bicycle(f)
+        oracle = exhaustive_bicycle(f, 200_000)
+        if found is not None:
+            assert verify_bicycle(f, found)
+            assert oracle is not None
+        if oracle is None:
+            nones += 1
+            assert found is None
+        if distinct and not solve_2rsat_scc(f).sat:
+            unsat_seen += 1
+            assert found is not None
+    assert nones > 0 and (unsat_seen > 0 or not distinct)
 
 
 # find_snake outcomes for seeds 70000-70009 with n=24, m=72, recorded with

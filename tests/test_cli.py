@@ -1,7 +1,7 @@
 import rsat
 from rsat.cli import main
 
-from oracles import deep_pairs_formula
+from oracles import deep_pairs_formula, ring_formula
 
 
 def run(capsys, *argv):
@@ -85,14 +85,25 @@ def test_cert_find_and_verify_roundtrip(capsys, tmp_path):
     assert out.strip() == "VALID"
 
 
-def test_cert_find_budget_exhausted_exit(capsys, tmp_path):
+def test_cert_find_bicycle_rejects_budget(capsys, tmp_path):
     code, out, _ = run(capsys, "gen", "--k", "2", "--n", "8", "--m", "24",
                        "--seed", "5", "--distinct")
     path = tmp_path / "f.rsat"
     path.write_text(out)
-    code, out, _ = run(capsys, "cert", "find", "bicycle", str(path), "--budget", "1")
-    assert code == 3
-    assert out.strip() == "BUDGET-EXHAUSTED"
+    code, out, err = run(capsys, "cert", "find", "bicycle", str(path), "--budget", "1")
+    assert code == 1
+    assert out == "" and "--budget" in err
+
+
+def test_cert_find_bicycle_on_long_ring(capsys, tmp_path):
+    formula_path = tmp_path / "ring.rsat"
+    formula_path.write_text(rsat.render_formula(ring_formula(1500)))
+    cert_path = tmp_path / "c"
+    code, _, _ = run(capsys, "cert", "find", "bicycle", str(formula_path),
+                     "--out", str(cert_path))
+    assert code == 0
+    code, out, _ = run(capsys, "cert", "verify", str(formula_path), "--cert", str(cert_path))
+    assert code == 0 and out.strip() == "VALID"
 
 
 def test_cert_find_none_on_tiny_formula(capsys, tmp_path):
