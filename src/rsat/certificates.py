@@ -52,10 +52,6 @@ BUDGET_EXHAUSTED = _BudgetExhausted()
 DEFAULT_FIND_BUDGET = 2_000_000
 
 
-class _BudgetHit(Exception):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # Bicycle
 
@@ -332,54 +328,63 @@ def find_snake(f: Formula, budget: int = DEFAULT_FIND_BUDGET):
         max_half = 2 + math.ceil(math.log(f.n) / math.log(f.m / (2 * f.n)))
     else:
         max_half = f.n
-    steps = [0]
+    steps = 0
 
     def assemble(chain):
         cert = Snake.from_links(_links(f, chain))
         return cert if verify_snake(f, cert) else None
 
-    def dfs(mid, chain, used, d1):
-        # d1 is None during the first half, else the first half's length
-        steps[0] += 1
-        if steps[0] > budget:
-            raise _BudgetHit
-        if d1 is None and len(chain) > max_half:
-            return None
-        s = chain[-1]
-        if var[s ^ 1] == mid:
-            if d1 is not None:
-                d2 = len(chain) - d1
-                if d2 == d1 + 1:
-                    return assemble(chain)
-                if d2 == d1 - 1 and d2 >= 3:  # same closed walk, rotated split
-                    return assemble(chain[d1:] + chain[:d1])
-                return None
-            if len(chain) < 3:
-                return None
-            d1 = len(chain)  # the first half closed; walk the second
-        elif d1 is not None and len(chain) - d1 >= d1 + 1:
-            return None  # second half can be at most one clause longer
-        for t in successors(s):
-            nv = var[t ^ 1]
-            if nv != mid and nv in used:
-                continue
-            chain.append(t)
-            if nv != mid:
-                used.add(nv)
-            found = dfs(mid, chain, used, d1)
-            if found is not None:
-                return found
-            if nv != mid:
-                used.remove(nv)
-            chain.pop()
-        return None
-
-    try:
-        for mid in sorted(by_lead):
-            for start in by_lead[mid]:
-                found = dfs(mid, [start], {mid, var[start ^ 1]}, None)
-                if found is not None:
-                    return found
-    except _BudgetHit:
-        return None
+    # Depth first on an explicit stack.  Visiting orientation t at depth
+    # len(chain) + 1 costs one step; only a node that may grow the walk joins
+    # chain and used and gets a frame (its successor iterator).  d1 is None
+    # during the first half, else its length.
+    for mid in sorted(by_lead):
+        for start in by_lead[mid]:
+            chain, used, frames, d1 = [], {mid}, [], None
+            t, depth = start, 1
+            while True:
+                steps += 1
+                if steps > budget:
+                    return None
+                nv = var[t ^ 1]
+                expand = False
+                if d1 is None and depth > max_half:
+                    pass
+                elif nv == mid:
+                    if d1 is not None:
+                        d2 = depth - d1
+                        found = None
+                        if d2 == d1 + 1:
+                            found = assemble(chain + [t])
+                        elif d2 == d1 - 1 and d2 >= 3:  # same closed walk, rotated split
+                            found = assemble(chain[d1:] + [t] + chain[:d1])
+                        if found is not None:
+                            return found
+                    elif depth >= 3:
+                        d1 = depth  # the first half closed; walk the second
+                        expand = True
+                else:  # the second half can be at most one clause longer
+                    expand = d1 is None or depth - d1 < d1 + 1
+                if expand:
+                    chain.append(t)
+                    if nv != mid:
+                        used.add(nv)
+                    frames.append(iter(successors(t)))
+                while frames:  # the next child to visit; pop spent frames
+                    for t in frames[-1]:
+                        nv = var[t ^ 1]
+                        if nv == mid or nv not in used:
+                            break
+                    else:
+                        frames.pop()
+                        nv = var[chain.pop() ^ 1]
+                        if nv != mid:
+                            used.remove(nv)
+                        if d1 is not None and len(chain) < d1:
+                            d1 = None
+                        continue
+                    break
+                else:
+                    break  # every walk from start is spent
+                depth = len(chain) + 1
     return None

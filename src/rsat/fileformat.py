@@ -9,8 +9,9 @@ Formula files::
 
 with ``<vspec>`` one of ``finite:<v>``, ``dyadic:<lambda>``,
 ``continuous``.  Fractions must be in lowest terms with positive
-denominator; innocuous literals, out-of-range variables and wrong-arity
-clauses are rejected with the offending line number.
+denominator; innocuous literals, bounds outside the header's value set,
+out-of-range variables and wrong-arity clauses are rejected with the
+offending line number.
 
 Certificate files::
 
@@ -39,7 +40,11 @@ from .formula import (
     Literal,
     Rel,
     TruthValueSpec,
+    on_grid,
+    vspec_grid,
 )
+
+_RELS = {"le": Rel.LE, "ge": Rel.GE}
 
 
 def vspec_to_token(vspec: TruthValueSpec) -> str:
@@ -82,7 +87,8 @@ def literal_from_token(token: str, line: int | None = None) -> Literal:
         var = int(var_s)
     except ValueError:
         raise ParseError(f"bad variable index {var_s!r}", line) from None
-    if rel_s not in ("le", "ge"):
+    rel = _RELS.get(rel_s)
+    if rel is None:
         raise ParseError(f"bad relation {rel_s!r} (expected le or ge)", line)
     num_s, sep, den_s = frac_s.partition("/")
     if not sep:
@@ -98,7 +104,7 @@ def literal_from_token(token: str, line: int | None = None) -> Literal:
     if math.gcd(num, den) != 1:
         raise ParseError(f"fraction {frac_s!r} is not in lowest terms", line)
     try:
-        return Literal(var, Rel(rel_s), Fraction(num, den))
+        return Literal(var, rel, Fraction(num, den))
     except ValueError as exc:
         raise ParseError(str(exc), line) from None
 
@@ -119,6 +125,7 @@ def parse_formula(text: str) -> Formula:
     clauses: list[Clause] = []
     k = n = m = 0
     vspec: TruthValueSpec = CONTINUOUS
+    grid = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c ") or line == "c":
@@ -132,6 +139,7 @@ def parse_formula(text: str) -> Formula:
             except ValueError:
                 raise ParseError("header k, n, m must be integers", lineno) from None
             vspec = vspec_from_token(fields[5], lineno)
+            grid = vspec_grid(vspec)
             header = lineno
             continue
         tokens = line.split()
@@ -142,6 +150,8 @@ def parse_formula(text: str) -> Formula:
             lit = literal_from_token(token, lineno)
             if not (1 <= lit.var <= n):
                 raise ParseError(f"variable x{lit.var} outside 1..{n}", lineno)
+            if not on_grid(grid, lit.bound):
+                raise ParseError(f"bound {lit.bound} not in V of {vspec}", lineno)
             lits.append(lit)
         clauses.append(tuple(lits))
     if header is None:

@@ -5,6 +5,9 @@ A formula is a conjunction of clauses; a clause is a disjunction of exactly
 ordered truth-value set ``V`` inside the unit interval.  All thresholds are
 exact rationals (`fractions.Fraction`), so comparisons, ties and ordering
 are reproducible bit for bit; no floating point enters the semantics.
+The checks read a bound's integer numerator and denominator (a Fraction is
+in lowest terms with a positive denominator), so each is an exact integer
+test, and a bound without them, such as a float, is a TypeError.
 
 Truth-value sets come in three families:
 
@@ -69,33 +72,50 @@ TruthValueSpec = Union[Finite, Dyadic, Continuous]
 CONTINUOUS = Continuous()
 
 
+def vspec_grid(vspec: TruthValueSpec) -> int:
+    """The grid g of V: v-1 for Finite(v), 2^lam for Dyadic(lam), 0 otherwise.
+
+    A finite or dyadic V is {u/g : u = 0..g}.  A bound in [0, 1] lies in V
+    iff its reduced denominator divides g; every denominator divides 0, so
+    the continuous set needs only the range check.
+    """
+    if isinstance(vspec, Finite):
+        return vspec.v - 1
+    if isinstance(vspec, Dyadic):
+        return 1 << vspec.lam
+    return 0
+
+
 def vspec_cardinality(vspec: TruthValueSpec) -> Optional[int]:
     """|V|, or None for the continuous set."""
-    if isinstance(vspec, Finite):
-        return vspec.v
-    if isinstance(vspec, Dyadic):
-        return 2**vspec.lam + 1
-    return None
+    grid = vspec_grid(vspec)
+    return grid + 1 if grid else None
 
 
 def vspec_values(vspec: TruthValueSpec) -> list[Fraction]:
     """All values of a finite or dyadic V, ascending."""
-    if isinstance(vspec, Finite):
-        return [Fraction(u, vspec.v - 1) for u in range(vspec.v)]
-    if isinstance(vspec, Dyadic):
-        d = 1 << vspec.lam
-        return [Fraction(u, d) for u in range(d + 1)]
-    raise ValueError("continuous truth-value set cannot be enumerated")
+    grid = vspec_grid(vspec)
+    if not grid:
+        raise ValueError("continuous truth-value set cannot be enumerated")
+    return [Fraction(u, grid) for u in range(grid + 1)]
+
+
+def _not_rational(x) -> TypeError:
+    return TypeError(f"bound must be an exact rational (Fraction or int), got {type(x).__name__}")
+
+
+def on_grid(grid: int, x: Fraction) -> bool:
+    """Membership of ``x`` in the value set whose grid is ``grid``; a bound
+    with no integer numerator and denominator is a TypeError."""
+    try:
+        num, den = x.numerator, x.denominator
+    except AttributeError:
+        raise _not_rational(x) from None
+    return 0 <= num <= den and grid % den == 0
 
 
 def vspec_contains(vspec: TruthValueSpec, x: Fraction) -> bool:
-    if x < 0 or x > 1:
-        return False
-    if isinstance(vspec, Finite):
-        return (x * (vspec.v - 1)).denominator == 1
-    if isinstance(vspec, Dyadic):
-        return (x * (1 << vspec.lam)).denominator == 1
-    return True
+    return on_grid(vspec_grid(vspec), x)
 
 
 # ---------------------------------------------------------------------------
@@ -121,11 +141,13 @@ class Literal:
     def __post_init__(self):
         if self.var < 1:
             raise ValueError(f"variable index must be >= 1, got {self.var}")
-        if not (ZERO <= self.bound <= ONE):
+        try:
+            num, den = self.bound.numerator, self.bound.denominator
+        except AttributeError:
+            raise _not_rational(self.bound) from None
+        if not 0 <= num <= den:
             raise ValueError(f"bound outside [0, 1]: {self.bound}")
-        if (self.rel is Rel.LE and self.bound == ONE) or (
-            self.rel is Rel.GE and self.bound == ZERO
-        ):
+        if (self.rel is Rel.LE and num == den) or (self.rel is Rel.GE and num == 0):
             raise ValueError("innocuous literal (x <= 1 or x >= 0) is forbidden")
 
     def encoded_rhs(self) -> Fraction:
@@ -168,6 +190,7 @@ class Formula:
             raise ValueError(f"clause width k must be >= 2, got {self.k}")
         if self.n < 0:
             raise ValueError(f"variable count must be >= 0, got {self.n}")
+        grid = vspec_grid(self.vspec)
         for ci, clause in enumerate(self.clauses):
             if len(clause) != self.k:
                 raise ValueError(f"clause {ci} has {len(clause)} literals, expected {self.k}")
@@ -175,7 +198,7 @@ class Formula:
             for lit in clause:
                 if not (1 <= lit.var <= self.n):
                     raise ValueError(f"clause {ci}: variable x{lit.var} outside 1..{self.n}")
-                if not vspec_contains(self.vspec, lit.bound):
+                if not on_grid(grid, lit.bound):
                     raise ValueError(f"clause {ci}: bound {lit.bound} not in V of {self.vspec}")
                 if self.distinct_vars_per_clause:
                     if lit.var in seen:

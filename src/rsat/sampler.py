@@ -35,6 +35,7 @@ from .formula import (
     Literal,
     Rel,
     TruthValueSpec,
+    vspec_grid,
 )
 from .rng import Stream
 
@@ -65,13 +66,9 @@ class GenConfig:
 
 
 def slot_denominator(vspec: TruthValueSpec) -> int:
-    """D, with every encoded side a/D for a uniform over 0..D-1: v-1, 2^lam,
-    or 2^53 for the continuous set (53 random bits)."""
-    if isinstance(vspec, Finite):
-        return vspec.v - 1
-    if isinstance(vspec, Dyadic):
-        return 1 << vspec.lam
-    return 1 << 53
+    """D, with every encoded side a/D for a uniform over 0..D-1: the grid of
+    V (v-1 or 2^lam), or 2^53 for the continuous set (53 random bits)."""
+    return vspec_grid(vspec) or 1 << 53
 
 
 def _draw_distinct_vars(n: int, k: int, stream: Stream) -> list[int]:
@@ -198,13 +195,13 @@ def couple_increase_v(f: Formula, seed: int) -> CoupledPair:
     for clause in f.clauses:
         lits = []
         for lit in clause:
-            a = lit.encoded_rhs()
-            u = int(a * (v - 1))  # encoded side is u/(v-1), u in 0..v-2
+            num, den = lit.bound.numerator, lit.bound.denominator
+            le = lit.rel is Rel.LE
+            # encoded side is u/(v-1), u in 0..v-2; den divides v-1
+            u = (num if le else den - num) * (v - 1) // den
             if stream.below(v) < u + 1:
                 u += 1
-            a_hi = Fraction(u, v)
-            bound = a_hi if lit.rel is Rel.LE else ONE - a_hi
-            lits.append(Literal(lit.var, lit.rel, bound))
+            lits.append(Literal(lit.var, lit.rel, Fraction(u if le else v - u, v)))
         clauses.append(tuple(lits))
     high = Formula(f.k, f.n, tuple(clauses), Finite(v + 1), f.distinct_vars_per_clause)
     return CoupledPair(low=f, high=high)

@@ -14,6 +14,8 @@ from rsat import (
     BUDGET_EXHAUSTED,
     CONTINUOUS,
     Bicycle,
+    Dyadic,
+    Finite,
     Formula,
     Literal,
     Rel,
@@ -54,6 +56,30 @@ def brute_force_count_tight(f) -> int:
         if eval_formula(f, interp):
             count += 1
     return count
+
+
+def fraction_vspec_contains(vspec, x) -> bool:
+    """Membership in V by Fraction arithmetic: x in [0, 1] and x times the
+    grid (v-1 or 2^lam) is an integer."""
+    if x < 0 or x > 1:
+        return False
+    if isinstance(vspec, Finite):
+        return (x * (vspec.v - 1)).denominator == 1
+    if isinstance(vspec, Dyadic):
+        return (x * (1 << vspec.lam)).denominator == 1
+    return True
+
+
+def fraction_literal_error(var, rel, bound):
+    """The message of the check a Literal(var, rel, bound) fails, by Fraction
+    comparisons in the library's order, or None when it passes them all."""
+    if var < 1:
+        return f"variable index must be >= 1, got {var}"
+    if not (Fraction(0) <= bound <= Fraction(1)):
+        return f"bound outside [0, 1]: {bound}"
+    if (rel is Rel.LE and bound == 1) or (rel is Rel.GE and bound == 0):
+        return "innocuous literal (x <= 1 or x >= 0) is forbidden"
+    return None
 
 
 def three_sigma(p: float, trials: int) -> float:

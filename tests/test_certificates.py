@@ -249,6 +249,14 @@ def test_find_snake_on_planted_instances():
         assert verify_snake(f, found)
 
 
+def test_find_snake_on_long_ring():
+    # the satisfiable ring holds no snake; the walk goes 1500 chains deep,
+    # past the interpreter's recursion limit
+    f = ring_formula(1500)
+    assert solve_2rsat_scc(f).sat
+    assert find_snake(f) is None
+
+
 def test_find_snake_needs_seven_clauses():
     f = sample_formula(GenConfig(k=2, n=10, m=6, seed=3))
     assert find_snake(f) is None

@@ -53,6 +53,14 @@ def test_parse_error_exit_code_names_line(capsys, tmp_path):
     assert "line 2" in err and "innocuous" in err
 
 
+def test_parse_error_names_line_of_bound_outside_v(capsys, tmp_path):
+    path = tmp_path / "bad.rsat"
+    path.write_text("p rsat 2 2 2 finite:3\n1:le:1/2 2:ge:1/2\n1:le:1/3 2:ge:1/2\n")
+    code, _, err = run(capsys, "solve", str(path))
+    assert code == 2
+    assert "line 3" in err and "not in V" in err
+
+
 def test_missing_file_is_io_error(capsys):
     code, _, err = run(capsys, "solve", "/nonexistent/file.rsat")
     assert code == 2
@@ -104,6 +112,14 @@ def test_cert_find_bicycle_on_long_ring(capsys, tmp_path):
     assert code == 0
     code, out, _ = run(capsys, "cert", "verify", str(formula_path), "--cert", str(cert_path))
     assert code == 0 and out.strip() == "VALID"
+
+
+def test_cert_find_snake_on_long_ring(capsys, tmp_path):
+    # the walk goes 1500 chains deep, past the interpreter's recursion limit
+    path = tmp_path / "ring.rsat"
+    path.write_text(rsat.render_formula(ring_formula(1500)))
+    code, out, _ = run(capsys, "cert", "find", "snake", str(path), "--budget", "50000")
+    assert code == 0 and out.strip() == "NONE"
 
 
 def test_cert_find_none_on_tiny_formula(capsys, tmp_path):

@@ -119,9 +119,11 @@ def test_parse_header_errors():
 
 
 def test_parse_bound_outside_v():
-    text = "p rsat 2 2 1 finite:3\n1:le:1/3 2:ge:1/2\n"
-    with pytest.raises(ParseError):
+    text = "p rsat 2 2 2 finite:3\n1:le:1/2 2:ge:1/2\n1:le:1/3 2:ge:1/2\n"
+    with pytest.raises(ParseError) as err:
         parse_formula(text)
+    assert err.value.line == 3
+    assert "line 3" in str(err.value) and "bound 1/3 not in V of Finite(v=3)" in str(err.value)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rsat
+from oracles import fraction_literal_error, fraction_vspec_contains
 from rsat import (
     CONTINUOUS,
     Continuous,
@@ -64,6 +65,46 @@ def test_vspec_contains():
     assert not vspec_contains(Dyadic(2), F(1, 3))
     assert vspec_contains(CONTINUOUS, F(12345, 54321))
     assert not vspec_contains(CONTINUOUS, F(3, 2))
+
+
+VSPECS = st.one_of(
+    st.integers(min_value=2, max_value=40).map(Finite),
+    st.integers(min_value=0, max_value=12).map(Dyadic),
+    st.just(CONTINUOUS),
+)
+BOUNDS = st.one_of(
+    st.integers(min_value=1, max_value=200).flatmap(
+        lambda den: st.integers(min_value=-2, max_value=den + 2).map(lambda num: F(num, den))
+    ),
+    st.sampled_from([0, 1]),
+)
+
+
+@settings(max_examples=1000)
+@given(VSPECS, BOUNDS, st.sampled_from([Rel.LE, Rel.GE]), st.integers(min_value=0, max_value=2))
+def test_integer_checks_match_fraction_arithmetic(vspec, bound, rel, var):
+    assert vspec_contains(vspec, bound) == fraction_vspec_contains(vspec, bound)
+    expected = fraction_literal_error(var, rel, bound)
+    try:
+        lit = Literal(var, rel, bound)
+    except ValueError as exc:
+        assert str(exc) == expected
+        return
+    assert expected is None
+    other = Literal(2, Rel.LE, F(0))
+    if fraction_vspec_contains(vspec, bound):
+        assert Formula(2, 2, ((lit, other),), vspec).clauses == ((lit, other),)
+    else:
+        with pytest.raises(ValueError) as err:
+            Formula(2, 2, ((lit, other),), vspec)
+        assert str(err.value) == f"clause 0: bound {bound} not in V of {vspec}"
+
+
+def test_bound_without_integer_parts_is_a_type_error():
+    with pytest.raises(TypeError, match="float"):
+        Literal(1, Rel.LE, 0.5)
+    with pytest.raises(TypeError, match="float"):
+        vspec_contains(CONTINUOUS, 0.5)
 
 
 def test_vspec_validation():
