@@ -19,9 +19,10 @@ Both finders walk one *chain graph* built on the compiled form
 the two-variable clauses that lie on a closed walk of the SCC decider's
 digraph, each named by its lead slot; an arc runs from s to t when t's
 lead is sign-disjoint from s's trail, which the ranks decide without a
-Fraction.  A chain of orientations becomes a certificate through
-``Bicycle.from_links`` or ``Snake.from_links``, and every found
-certificate must pass its checker, which reads the formula's Literals,
+Fraction.  The snake finder tests a walk's closing conditions with the
+same rank rule.  A chain of orientations becomes a certificate through
+``Bicycle.from_links`` or ``Snake.from_links``, and the one certificate a
+finder returns must pass its checker, which reads the formula's Literals,
 not the ranks.  The bicycle finder is a greedy walk, not an exhaustive
 search; the snake finder is best effort (None proves nothing).
 """
@@ -31,6 +32,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from operator import eq
 
 from .errors import IndexOutOfRange, OddLength, WrongArity
 from .formula import Formula, Literal, signs_disjoint
@@ -131,8 +133,8 @@ def verify_bicycle(f: Formula, cert: Bicycle) -> bool:
 
 
 def _chain_graph(c: CompiledFormula):
-    """The closed-walk chain graph of width-2 ``c``: orientations and their
-    successors.
+    """The closed-walk chain graph of width-2 ``c``: by_lead, successors,
+    the disjointness rule and whether the SCC decider refutes ``c``.
 
     An orientation of clause i is named by its lead slot s (2i or 2i+1);
     its trail is slot ``s ^ 1``.  It is kept when its clause arc, from the
@@ -140,11 +142,13 @@ def _chain_graph(c: CompiledFormula):
     component of the SCC decider's digraph, so that some closed walk uses
     it.  ``by_lead[j]`` lists, in slot order, the kept orientations that
     lead on x_j, leaving out clauses with both literals on one variable,
-    which no chain certificate can use.  ``successors(s)`` lists the
-    orientations in ``by_lead`` whose lead is sign-disjoint from s's trail:
-    the relations differ and the ``>=`` rank is strictly greater than the
-    ``<=`` rank (a tie is not disjoint).  A successor list depends only on
-    the trail literal, so each is built on first use and shared.
+    which no chain certificate can use.  ``disjoint(a, b)``, for slots on
+    one variable, holds when the relations differ and the ``>=`` rank is
+    strictly greater than the ``<=`` rank (a tie is not disjoint).
+    ``successors(s)`` lists the orientations in ``by_lead`` whose lead is
+    disjoint from s's trail; each list is built on first use and shared by
+    trails with one literal.  The flag is True when some node shares a
+    component with its complement, i.e. ``c`` is unsatisfiable.
     """
     var, ge, rank = c.var, c.ge, c.rank
     nodes, comp = literal_components(c)
@@ -155,21 +159,18 @@ def _chain_graph(c: CompiledFormula):
             by_lead.setdefault(var[s], []).append(s)
     cache: dict[tuple[int, int], list[int]] = {}
 
+    def disjoint(a, b):
+        return ge[a] != ge[b] and (rank[a] > rank[b] if ge[a] else rank[b] > rank[a])
+
     def successors(s):
         a = s ^ 1
         key = (rank[a], ge[a])
         out = cache.get(key)
         if out is None:
-            g = rank[a]
-            leads = by_lead.get(var[a], ())
-            if ge[a]:
-                out = [t for t in leads if not ge[t] and rank[t] < g]
-            else:
-                out = [t for t in leads if ge[t] and rank[t] > g]
-            cache[key] = out
+            out = cache[key] = [t for t in by_lead.get(var[a], ()) if disjoint(a, t)]
         return out
 
-    return by_lead, successors
+    return by_lead, successors, disjoint, any(map(eq, comp[0::2], comp[1::2]))
 
 
 def _links(f: Formula, chain):
@@ -203,7 +204,7 @@ def find_bicycle(f: Formula):
         raise WrongArity(f"bicycles are defined for k = 2, got k = {f.k}")
     c = compile_formula(f)
     var = c.var
-    by_lead, successors = _chain_graph(c)
+    by_lead, successors, _, _ = _chain_graph(c)
     for lead_var in sorted(by_lead):
         for start in by_lead[lead_var]:
             # chain[i] leads on the walk's i-th variable; pos maps a variable
@@ -309,13 +310,15 @@ def find_snake(f: Formula, budget: int = DEFAULT_FIND_BUDGET):
 
     Walks disjointness-linked clause chains out of a candidate middle
     variable; a walk that returns to the middle twice with half lengths
-    (d, d+1) closes into a snake of length 2d, which is then verified.
-    Every literal of a snake clause sits in a disjointness link on its
-    variable, so the walk's implication cycle puts the complement of each
-    lead in one strongly connected component with its trail; the
-    closed-walk chain graph holds only such orientations.  The first half
-    is at most a small margin above log n / log(m/2n) long, where closed
-    walks become plentiful.
+    (d, d+1) closes into a snake of length 2d if, on ranks, the last trail
+    is disjoint from the first lead and sk3 holds; the walk has kept the
+    rest.  ``verify_snake`` guards the one snake returned.  Every literal
+    of a snake clause sits in a disjointness link on its variable, so the
+    walk's implication cycle puts the complement of each lead in one
+    strongly connected component with its trail; the closed-walk chain
+    graph holds only such orientations.  A snake certifies
+    unsatisfiability, so a satisfiable formula is not searched.  The first
+    half is at most a small margin above log n / log(m/2n) long.
     """
     if f.k != 2:
         raise WrongArity(f"snakes are defined for k = 2, got k = {f.k}")
@@ -323,68 +326,62 @@ def find_snake(f: Formula, budget: int = DEFAULT_FIND_BUDGET):
         return None
     c = compile_formula(f)
     var = c.var
-    by_lead, successors = _chain_graph(c)
+    by_lead, successors, disjoint, refuted = _chain_graph(c)
+    if not refuted:
+        return None
     if f.m > 2 * f.n and f.n >= 2:
         max_half = 2 + math.ceil(math.log(f.n) / math.log(f.m / (2 * f.n)))
     else:
         max_half = f.n
     steps = 0
 
-    def assemble(chain):
-        cert = Snake.from_links(_links(f, chain))
-        return cert if verify_snake(f, cert) else None
-
-    # Depth first on an explicit stack.  Visiting orientation t at depth
-    # len(chain) + 1 costs one step; only a node that may grow the walk joins
-    # chain and used and gets a frame (its successor iterator).  d1 is None
-    # during the first half, else its length.
+    # Depth first on a stack of successor iterators, the root one yielding
+    # start.  Visiting orientation t at depth len(chain) + 1 costs one step;
+    # only a node that may grow the walk joins chain and used and gets a
+    # frame.  d1 is None during the first half, else its length.
     for mid in sorted(by_lead):
         for start in by_lead[mid]:
-            chain, used, frames, d1 = [], {mid}, [], None
-            t, depth = start, 1
-            while True:
-                steps += 1
-                if steps > budget:
-                    return None
-                nv = var[t ^ 1]
-                expand = False
-                if d1 is None and depth > max_half:
-                    pass
-                elif nv == mid:
-                    if d1 is not None:
-                        d2 = depth - d1
-                        found = None
-                        if d2 == d1 + 1:
-                            found = assemble(chain + [t])
-                        elif d2 == d1 - 1 and d2 >= 3:  # same closed walk, rotated split
-                            found = assemble(chain[d1:] + [t] + chain[:d1])
-                        if found is not None:
-                            return found
-                    elif depth >= 3:
-                        d1 = depth  # the first half closed; walk the second
-                        expand = True
-                else:  # the second half can be at most one clause longer
-                    expand = d1 is None or depth - d1 < d1 + 1
-                if expand:
-                    chain.append(t)
-                    if nv != mid:
-                        used.add(nv)
-                    frames.append(iter(successors(t)))
-                while frames:  # the next child to visit; pop spent frames
-                    for t in frames[-1]:
-                        nv = var[t ^ 1]
-                        if nv == mid or nv not in used:
-                            break
-                    else:
-                        frames.pop()
+            chain, used, frames, d1 = [], {mid}, [iter((start,))], None
+            while frames:
+                for t in frames[-1]:  # the next child to visit
+                    nv = var[t ^ 1]
+                    if nv == mid or nv not in used:
+                        break
+                else:  # pop the spent frame
+                    frames.pop()
+                    if chain:
                         nv = var[chain.pop() ^ 1]
                         if nv != mid:
                             used.remove(nv)
                         if d1 is not None and len(chain) < d1:
                             d1 = None
-                        continue
-                    break
-                else:
-                    break  # every walk from start is spent
+                    continue
+                steps += 1
+                if steps > budget:
+                    return None
                 depth = len(chain) + 1
+                if d1 is None and depth > max_half:
+                    continue
+                if nv == mid:
+                    if d1 is not None:
+                        # the closing link and sk3 test the same slots whether
+                        # the split is (d1, d1+1) or rotated to (d1-1, d1)
+                        d2 = depth - d1
+                        if (d2 == d1 + 1 or d2 == d1 - 1 >= 3) and disjoint(t ^ 1, start) and \
+                                disjoint(chain[d1 - 1] ^ 1, t ^ 1) and disjoint(chain[d1], start):
+                            snake = chain + [t] if d2 > d1 else chain[d1:] + [t] + chain[:d1]
+                            cert = Snake.from_links(_links(f, snake))
+                            if not verify_snake(f, cert):
+                                raise AssertionError("snake finder produced an invalid certificate")
+                            return cert
+                        continue
+                    if depth < 3:
+                        continue
+                    d1 = depth  # the first half closed; walk the second
+                elif d1 is not None and depth - d1 >= d1 + 1:
+                    continue  # the second half can be at most one clause longer
+                chain.append(t)
+                if nv != mid:
+                    used.add(nv)
+                frames.append(iter(successors(t)))
     return None

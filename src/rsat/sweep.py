@@ -13,7 +13,6 @@ exceed 1% of requests is flagged.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -144,6 +143,8 @@ def run_sweep(cfg: SweepConfig) -> list[SweepResult]:
                 index += 1
     workers = _worker_count()
     if workers > 1 and len(cells) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # costs import time; only pools use it
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_run_cell, cells))
     return [_run_cell(cell) for cell in cells]

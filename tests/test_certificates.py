@@ -29,7 +29,9 @@ from rsat import (
     vspec_from_token,
     vspec_to_token,
 )
-from rsat.certificates import DEFAULT_FIND_BUDGET
+from rsat.certificates import DEFAULT_FIND_BUDGET, _chain_graph
+from rsat.formula import signs_disjoint
+from rsat.solver import compile_formula
 from oracles import exhaustive_bicycle, ring_formula
 
 
@@ -250,11 +252,21 @@ def test_find_snake_on_planted_instances():
 
 
 def test_find_snake_on_long_ring():
-    # the satisfiable ring holds no snake; the walk goes 1500 chains deep,
-    # past the interpreter's recursion limit
+    # the satisfiable ring holds no snake, and is not searched
     f = ring_formula(1500)
     assert solve_2rsat_scc(f).sat
     assert find_snake(f) is None
+
+
+def test_find_snake_on_unsatisfiable_long_ring():
+    # y <= 1/3 and y >= 2/3 refute the ring, whose walks still go 1500 chains
+    # deep, past the interpreter's recursion limit
+    ring = ring_formula(1500)
+    y = ring.n + 1
+    extra = ((Literal(y, Rel.LE, F(1, 3)),) * 2, (Literal(y, Rel.GE, F(2, 3)),) * 2)
+    f = Formula(2, y, ring.clauses + extra, CONTINUOUS)
+    assert not solve_2rsat_scc(f).sat
+    assert find_snake(f, budget=50_000) is None
 
 
 def test_find_snake_needs_seven_clauses():
@@ -514,3 +526,34 @@ def test_find_snake_pinned_on_grids(token):
         f = sample_formula(GenConfig(k=2, n=24, m=72, vspec=vspec_from_token(token), seed=seed))
         outcomes.append(_outcome(find_snake(f, budget=200_000)))
     assert outcomes == SNAKE_GRID_PINS[token]
+
+
+@pytest.mark.parametrize("token", ["continuous", "finite:3", "dyadic:2"])
+def test_chain_graph_disjointness_matches_literals(token):
+    ties = 0
+    for seed in range(70_000, 70_010):
+        f = sample_formula(GenConfig(k=2, n=24, m=72, vspec=vspec_from_token(token), seed=seed))
+        c = compile_formula(f)
+        _, _, disjoint, _ = _chain_graph(c)
+        lits = [lit for clause in f.clauses for lit in clause]
+        for a, b in itertools.product(range(len(lits)), repeat=2):
+            if c.var[a] == c.var[b]:
+                assert disjoint(a, b) == signs_disjoint(lits[a], lits[b]), (seed, a, b)
+                ties += c.ge[a] != c.ge[b] and c.rank[a] == c.rank[b]
+    assert ties > 0 or token == "continuous"
+
+
+def test_verify_snake_only_guards_returned_snakes(monkeypatch):
+    calls = []
+    monkeypatch.setattr(rsat.certificates, "verify_snake",
+                        lambda f, cert: calls.append(cert) or verify_snake(f, cert))
+    formulas = [GenConfig(k=2, n=24, m=96, seed=seed) for seed in SNAKE_PINS]
+    formulas += [GenConfig(k=2, n=24, m=72, vspec=vspec_from_token(token), seed=seed)
+                 for token in SNAKE_GRID_PINS for seed in range(70_000, 70_010)]
+    snakes = 0
+    for cfg in formulas:
+        calls.clear()
+        cert = find_snake(sample_formula(cfg), budget=200_000)
+        assert calls == ([] if cert is None else [cert])
+        snakes += cert is not None
+    assert snakes == 17

@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -76,6 +78,15 @@ def test_sweep_deterministic_and_csv_schema():
     assert len(lines) == 1 + len(cfg.vspecs) * len(cfg.n_values) * len(cfg.c_grid)
     row = lines[1].split(",")
     assert row[0] == "2" and row[1] == "finite:2" and row[2] == "30"
+
+
+def test_import_leaves_process_pool_unloaded():
+    # the pool module costs import time; only a sweep with workers loads it
+    code = "import sys, rsat; print('concurrent.futures.process' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rsat.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_sweep_parallel_output_matches_serial(monkeypatch):
