@@ -2,7 +2,6 @@
 closed-form bounds and a Monte Carlo phase-transition harness."""
 
 from .analytics import (
-    BoundReport,
     bejar_bound,
     exact_factorial_moment,
     expected_tight_bound,
@@ -23,7 +22,6 @@ from .certificates import (
 from .errors import (
     DomainError,
     DuplicateThresholds,
-    EmptyDomain,
     IndexOutOfRange,
     InvalidConfig,
     MissingAssignment,
@@ -56,7 +54,6 @@ from .formula import (
     Rel,
     Threshold,
     TruthValueSpec,
-    complement_literal,
     eval_formula,
     eval_literal,
     occurrence_profile,

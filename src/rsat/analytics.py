@@ -9,26 +9,13 @@ The factorial moment is exact (a Fraction).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from statistics import NormalDist
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import DomainError
 
 ROOT_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """One evaluated bound expression plus its comparison verdict."""
-
-    name: str
-    value: float
-    verdict: str
-    k: Optional[int] = None
-    c: Optional[float] = None
-    v: Optional[int] = None
 
 
 def thm1_value(k: int, c: float) -> float:
@@ -45,17 +32,23 @@ def thm1_root(k: int) -> float:
 
     The map c -> k c q^(c-1) with q = 1 - 2^-k rises to a single interior
     maximum at c* = -1/ln(q) and then decays to 0, so bisection on
-    [c*, inf) is safe.  Absolute tolerance 1e-9 in c.
+    [c*, inf) is safe.  Absolute tolerance 1e-9 in c, or the spacing of
+    doubles near the root where that is coarser (from k = 19 on).  For
+    k >= 54, q rounds to 1 and the map has no root in double precision.
     """
     if k < 2:
         raise DomainError(f"k must be >= 2, got {k}")
     q = 1.0 - 2.0**-k
+    if q == 1.0:
+        raise DomainError(f"1 - 2^-k rounds to 1 in double precision for k = {k}; need k <= 53")
     lo = -1.0 / math.log(q)
     hi = 2.0 * lo
     while thm1_value(k, hi) >= 1.0:
         hi *= 2.0
     while hi - lo > ROOT_TOL:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # no double lies strictly between lo and hi
+            break
         if thm1_value(k, mid) >= 1.0:
             lo = mid
         else:

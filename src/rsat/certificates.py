@@ -29,11 +29,11 @@ search; the snake finder is best effort (None proves nothing).
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 from operator import eq
 
+from .analytics import snake_length
 from .errors import IndexOutOfRange, OddLength, WrongArity
 from .formula import Formula, Literal, signs_disjoint
 from .solver import CompiledFormula, compile_formula, literal_components
@@ -330,7 +330,7 @@ def find_snake(f: Formula, budget: int = DEFAULT_FIND_BUDGET):
     if not refuted:
         return None
     if f.m > 2 * f.n and f.n >= 2:
-        max_half = 2 + math.ceil(math.log(f.n) / math.log(f.m / (2 * f.n)))
+        max_half = 2 + snake_length(f.n, f.m / f.n) // 2
     else:
         max_half = f.n
     steps = 0

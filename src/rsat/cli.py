@@ -225,63 +225,34 @@ def _cmd_sweep(args) -> int:
 REFERENCE_UNSAT_BOUND = {2: 12.664, 3: 36.1}
 
 
-def bound_reports(k: int, vs: list[int]) -> list[analytics.BoundReport]:
+def _cmd_bounds(args) -> int:
+    k = args.k
     root = analytics.thm1_root(k)
-    reports = [analytics.BoundReport("unsat_bound_root", root, "value=1", k=k, c=root)]
+    lines = [f"unsat_bound_root k={k} c={root:.6f}"]
     reference = REFERENCE_UNSAT_BOUND.get(k)
     if reference is not None:
         value = analytics.thm1_value(k, reference)
-        verdict = "<1" if value < 1.0 else ">=1"
-        reports.append(
-            analytics.BoundReport("unsat_bound_reference", reference, "", k=k, c=reference)
-        )
-        reports.append(
-            analytics.BoundReport(
-                "unsat_bound_value_at_reference", value, verdict, k=k, c=reference
-            )
-        )
-    for v in vs:
-        bb = analytics.bejar_bound(v)
-        verdict = "<root" if bb < root else ">=root"
-        reports.append(analytics.BoundReport("width3_unsat_bound", bb, verdict, v=v))
+        lines.append(f"unsat_bound_reference k={k} c={reference}")
+        lines.append(f"unsat_bound_value_at_reference k={k} value={value:.6f}")
+    for v in args.v or [2, 3, 4, 8, 16]:
+        lines.append(f"width3_unsat_bound v={v} c={analytics.bejar_bound(v):.6f}")
     # smallest v where the width-3 bound exceeds this k's root: v = ceil((8/7)^root)
     log_v = root * math.log(8.0 / 7.0)
     if log_v < 700.0:
         crossover = max(2, math.floor(math.exp(log_v)) + 1)
         while analytics.bejar_bound(crossover - 1) > root and crossover > 2:
             crossover -= 1
-        reports.append(
-            analytics.BoundReport("crossover_v", float(crossover), f"v={crossover}", k=k, v=crossover)
-        )
+        lines.append(f"crossover_v k={k} v={crossover}")
     else:
-        magnitude = log_v / math.log(10.0)
-        reports.append(
-            analytics.BoundReport("crossover_v", math.inf, f"v=>10^{magnitude:.0f}", k=k)
-        )
-    return reports
-
-
-def _cmd_bounds(args) -> int:
-    k = args.k
-    vs = args.v if args.v else [2, 3, 4, 8, 16]
-    for report in bound_reports(k, vs):
-        if report.name == "crossover_v":
-            print(f"{report.name} k={k} {report.verdict}")
-        elif report.name == "width3_unsat_bound":
-            print(f"{report.name} v={report.v} c={report.value:.6f}")
-        elif report.name == "unsat_bound_reference":
-            print(f"{report.name} k={k} c={report.value}")
-        elif report.name == "unsat_bound_value_at_reference":
-            print(f"{report.name} k={k} value={report.value:.6f}")
-        else:
-            print(f"{report.name} k={k} c={report.value:.6f}")
+        lines.append(f"crossover_v k={k} v=>10^{log_v / math.log(10.0):.0f}")
+    print("\n".join(lines))  # only once every line is computed: an error prints none
     return EXIT_OK
 
 
 def _sample_profile(n: int, km: int, stream: Stream) -> list[int]:
-    counts = [0] * n
+    counts, draw = [0] * n, stream.below_fn(n)
     for _ in range(km):
-        counts[stream.below(n)] += 1
+        counts[draw()] += 1
     return counts
 
 

@@ -13,10 +13,6 @@ class MissingAssignment(RsatError):
     """An interpretation lacks a value for a variable that occurs in the formula."""
 
 
-class EmptyDomain(RsatError):
-    """A candidate domain is empty where a value set is required."""
-
-
 class ProfileMismatch(RsatError):
     """An occurrence profile does not sum to the required slot count."""
 

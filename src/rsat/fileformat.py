@@ -113,6 +113,14 @@ def literal_from_token(token: str, line: int | None = None) -> Literal:
 # Formulas
 
 
+def _content_lines(text: str):
+    """(line number, stripped line) of each line that is not blank or a comment."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("c ") and line != "c":
+            yield lineno, line
+
+
 def render_formula(f: Formula) -> str:
     lines = [f"p rsat {f.k} {f.n} {f.m} {vspec_to_token(f.vspec)}"]
     for clause in f.clauses:
@@ -126,10 +134,7 @@ def parse_formula(text: str) -> Formula:
     k = n = m = 0
     vspec: TruthValueSpec = CONTINUOUS
     grid = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c ") or line == "c":
-            continue
+    for lineno, line in _content_lines(text):
         if header is None:
             fields = line.split()
             if len(fields) != 6 or fields[0] != "p" or fields[1] != "rsat":
@@ -157,12 +162,12 @@ def parse_formula(text: str) -> Formula:
     if header is None:
         raise ParseError("missing 'p rsat' header")
     if len(clauses) != m:
-        raise ParseError(f"expected {m} clause lines, found {len(clauses)}")
+        raise ParseError(f"expected {m} clause lines, found {len(clauses)}", header)
     distinct = all(len({lit.var for lit in cl}) == len(cl) for cl in clauses)
     try:
         return Formula(k, n, tuple(clauses), vspec, distinct)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    except ValueError as exc:  # each clause passed its checks above: the header is at fault
+        raise ParseError(str(exc), header) from None
 
 
 # ---------------------------------------------------------------------------
@@ -172,25 +177,18 @@ def parse_formula(text: str) -> Formula:
 def render_certificate(cert: Bicycle | Snake) -> str:
     if isinstance(cert, Bicycle):
         lines = [f"cert bicycle {cert.ell} {cert.i0} {cert.i1}"]
-        for i in range(cert.ell + 1):
-            lines.append(
-                f"{cert.clause_indices[i]} "
-                f"{literal_to_token(cert.wf(i))} {literal_to_token(cert.wt(i + 1))}"
-            )
+        links = zip(cert.literals[0::2], cert.literals[1::2])  # (f_i, t_{i+1})
     else:
         lines = [f"cert snake {cert.ell}"]
-        for i in range(cert.ell + 1):
-            lead, trail = cert.pairs[i]
-            lines.append(
-                f"{cert.clause_indices[i]} "
-                f"{literal_to_token(lead)} {literal_to_token(trail)}"
-            )
+        links = cert.pairs
+    for ci, (lead, trail) in zip(cert.clause_indices, links):
+        lines.append(f"{ci} {literal_to_token(lead)} {literal_to_token(trail)}")
     return "\n".join(lines) + "\n"
 
 
-def _parse_chain_lines(entries: list[tuple[int, str]], expected: int):
+def _parse_chain_lines(entries: list[tuple[int, str]], expected: int, header_line: int):
     if len(entries) != expected:
-        raise ParseError(f"expected {expected} chain lines, found {len(entries)}")
+        raise ParseError(f"expected {expected} chain lines, found {len(entries)}", header_line)
     chain = []
     for lineno, line in entries:
         fields = line.split()
@@ -207,20 +205,11 @@ def _parse_chain_lines(entries: list[tuple[int, str]], expected: int):
 
 
 def parse_certificate(text: str) -> Bicycle | Snake:
-    header: list[str] | None = None
-    header_line = 0
-    entries: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c ") or line == "c":
-            continue
-        if header is None:
-            header = line.split()
-            header_line = lineno
-        else:
-            entries.append((lineno, line))
-    if header is None:
+    lines = list(_content_lines(text))
+    if not lines:
         raise ParseError("missing 'cert' header")
+    (header_line, first), *entries = lines
+    header = first.split()
     if len(header) < 2 or header[0] != "cert" or header[1] not in ("bicycle", "snake"):
         raise ParseError("expected header 'cert bicycle ...' or 'cert snake ...'", header_line)
 
@@ -231,11 +220,11 @@ def parse_certificate(text: str) -> Bicycle | Snake:
             ell, i0, i1 = int(header[2]), int(header[3]), int(header[4])
         except ValueError:
             raise ParseError("bicycle header fields must be integers", header_line) from None
-        chain = _parse_chain_lines(entries, ell + 1)
+        chain = _parse_chain_lines(entries, ell + 1, header_line)
         try:
             return Bicycle.from_links(chain, i0, i1)
-        except ValueError as exc:
-            raise ParseError(str(exc)) from None
+        except ValueError as exc:  # the chain lines parsed: the header is at fault
+            raise ParseError(str(exc), header_line) from None
 
     if len(header) != 3:
         raise ParseError("expected 'cert snake <ell>'", header_line)
@@ -243,8 +232,8 @@ def parse_certificate(text: str) -> Bicycle | Snake:
         ell = int(header[2])
     except ValueError:
         raise ParseError("snake header field must be an integer", header_line) from None
-    chain = _parse_chain_lines(entries, ell + 1)
+    chain = _parse_chain_lines(entries, ell + 1, header_line)
     try:
         return Snake.from_links(chain)
     except ValueError as exc:
-        raise ParseError(str(exc)) from None
+        raise ParseError(str(exc), header_line) from None

@@ -30,9 +30,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Union
 
-from .errors import EmptyDomain, MissingAssignment
+from .errors import MissingAssignment
 
 Threshold = Fraction
 
@@ -257,26 +257,6 @@ def signs_disjoint(l1: Literal, l2: Literal) -> bool:
         return False
     le, ge = (l1, l2) if l1.rel is Rel.LE else (l2, l1)
     return ge.bound > le.bound
-
-
-def complement_literal(lit: Literal, domain: Sequence[Fraction]) -> Optional[Literal]:
-    """Weakest literal over ``domain`` disjoint from ``lit``.
-
-    ``domain`` must be the sorted candidate value list for the literal's
-    variable.  Returns None when every domain value satisfies ``lit`` (then
-    no disjoint literal over the domain exists).
-    """
-    if not domain:
-        raise EmptyDomain(f"empty candidate domain for x{lit.var}")
-    if lit.rel is Rel.LE:
-        for value in domain:
-            if value > lit.bound:
-                return Literal(lit.var, Rel.GE, value)
-        return None
-    for value in reversed(domain):
-        if value < lit.bound:
-            return Literal(lit.var, Rel.LE, value)
-    return None
 
 
 def occurrence_profile(f: Formula) -> list[int]:

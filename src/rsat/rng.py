@@ -62,17 +62,11 @@ class Stream:
 
     def below(self, n: int) -> int:
         """Uniform integer in [0, n) by masked rejection; exact for any n >= 1."""
-        if n <= 0:
-            raise ValueError("below() requires n >= 1")
-        k = (n - 1).bit_length()
-        while True:
-            r = self.bits(k)
-            if r < n:
-                return r
+        return self.below_fn(n)()
 
     def below_fn(self, n: int):
-        """A no-argument function making the draws ``below(n)`` makes, with
-        one call per draw fewer; for hot loops."""
+        """A no-argument function drawing ``below(n)`` from this stream, so a
+        hot loop over one n sets up the rejection draw once."""
         if n <= 0:
             raise ValueError("below() requires n >= 1")
         k = (n - 1).bit_length()

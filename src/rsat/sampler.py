@@ -71,12 +71,12 @@ def slot_denominator(vspec: TruthValueSpec) -> int:
     return vspec_grid(vspec) or 1 << 53
 
 
-def _draw_distinct_vars(n: int, k: int, stream: Stream) -> list[int]:
-    # sparse partial Fisher-Yates over 0..n-1; O(k) memory
+def _draw_distinct_vars(picks) -> list[int]:
+    # sparse partial Fisher-Yates over 0..n-1, picks[i] drawing below(n - i); O(k) memory
     swapped: dict[int, int] = {}
     out = []
-    for i in range(k):
-        j = i + stream.below(n - i)
+    for i, pick_i in enumerate(picks):
+        j = i + pick_i()
         aj = swapped.get(j, j)
         out.append(aj + 1)
         swapped[j] = swapped.get(i, i)
@@ -89,13 +89,14 @@ def _draw_slots(cfg: GenConfig, stream: Stream, copies: Optional[list[int]]):
     k, n = cfg.k, cfg.n
     denominator = slot_denominator(cfg.vspec)
     side, pick, coin = stream.below_fn(denominator), stream.below_fn(n), stream.next_u64
+    picks = [stream.below_fn(n - i) for i in range(k)] if cfg.distinct_vars_per_clause else None
     used: Optional[set] = set() if cfg.distinct_thresholds else None
     var, ge, num = [], [], []  # per slot: variable, >= bit, bound numerator
     for ci in range(cfg.m):
         if copies is not None:
             vs = copies[ci * k : (ci + 1) * k]
         elif cfg.distinct_vars_per_clause:
-            vs = _draw_distinct_vars(n, k, stream)
+            vs = _draw_distinct_vars(picks)
         else:
             vs = [pick() + 1 for _ in range(k)]
         for j in vs:
@@ -190,7 +191,7 @@ def couple_increase_v(f: Formula, seed: int) -> CoupledPair:
     if not isinstance(f.vspec, Finite):
         raise WrongVspec(f"couple_increase_v needs a Finite formula, got {f.vspec}")
     v = f.vspec.v
-    stream = Stream(seed)
+    below_v = Stream(seed).below_fn(v)
     clauses = []
     for clause in f.clauses:
         lits = []
@@ -199,7 +200,7 @@ def couple_increase_v(f: Formula, seed: int) -> CoupledPair:
             le = lit.rel is Rel.LE
             # encoded side is u/(v-1), u in 0..v-2; den divides v-1
             u = (num if le else den - num) * (v - 1) // den
-            if stream.below(v) < u + 1:
+            if below_v() < u + 1:
                 u += 1
             lits.append(Literal(lit.var, lit.rel, Fraction(u if le else v - u, v)))
         clauses.append(tuple(lits))

@@ -291,14 +291,13 @@ class ImplicationDigraph:
 
     ``nodes[id]`` is node id's (var, rel, rank) triple, rank local to the
     variable's candidates: per gap, ``(var, LE, r)`` then
-    ``(var, GE, r + 1)``.  ``complement[id]`` is ``id ^ 1``; no node lacks
-    one.  Edges are the clause contrapositives plus the entailment chains
+    ``(var, GE, r + 1)``.  Node id's complement is node ``id ^ 1``; no node
+    lacks one.  Edges are the clause contrapositives plus the entailment chains
     within each variable and relation.
     """
 
     nodes: list[tuple[int, Rel, int]]
     succ: list[list[int]]
-    complement: list[int]
 
 
 def _literal_nodes(c: CompiledFormula) -> list[int]:
@@ -351,7 +350,7 @@ def build_implication_digraph(f: Formula, domains=None) -> ImplicationDigraph:
         for r in range(c.start[j + 1] - c.start[j] - 1)
         for key in ((j, Rel.LE, r), (j, Rel.GE, r + 1))
     ]
-    return ImplicationDigraph(nodes, succ, [nid ^ 1 for nid in range(len(nodes))])
+    return ImplicationDigraph(nodes, succ)
 
 
 def _tarjan(succ: list[list[int]]) -> list[int]:

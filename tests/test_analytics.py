@@ -57,6 +57,35 @@ def test_thm1_root_monotone_in_k():
     assert all(a < b for a, b in zip(roots, roots[1:]))
 
 
+# thm1_root(k) for k = 2..18, bit for bit: there the 1e-9 tolerance ends the
+# bisection before float resolution does
+THM1_ROOTS_HEX = [
+    "0x1.821ea13bfebf2p+3", "0x1.20a5308970c6cp+5", "0x1.729ccc4c7b92cp+6",
+    "0x1.bbae4d26870d6p+7", "0x1.febe6ad031da6p+8", "0x1.1ed74307b6a38p+10",
+    "0x1.3cdc161f8ef06p+11", "0x1.59d41fb376efep+12", "0x1.760312f540fb4p+13",
+    "0x1.91968f4ed6b58p+14", "0x1.acae22a678bfap+15", "0x1.c76049e15f99ep+16",
+    "0x1.e1bd8e10a2db7p+17", "0x1.fbd2773d6fedep+18", "0x1.0ad464321925cp+20",
+    "0x1.17a425af5ce7dp+21", "0x1.245babcc254f4p+22",
+]
+
+
+def test_thm1_root_pinned_up_to_k18():
+    assert [thm1_root(k).hex() for k in range(2, 19)] == THM1_ROOTS_HEX
+
+
+def test_thm1_root_stops_at_float_resolution():
+    # from k = 19 on, adjacent doubles near the root are more than 1e-9 apart
+    for k in range(19, 54):
+        assert abs(thm1_value(k, thm1_root(k)) - 1.0) < 1e-14
+
+
+def test_thm1_root_rejects_k_where_q_rounds_to_one():
+    with pytest.raises(DomainError):
+        thm1_root(54)
+    with pytest.raises(DomainError):
+        thm1_root(100)
+
+
 # ---------------------------------------------------------------------------
 # width-3 bound and the crossover
 

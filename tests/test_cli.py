@@ -1,3 +1,11 @@
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
 import rsat
 from rsat.cli import main
 
@@ -165,6 +173,35 @@ def test_solve_complete_on_deep_formula(capsys, tmp_path):
     assert out.splitlines()[0] == "SAT"
 
 
+# sha256 of the full stdout of `rsat bounds`: its text is fixed byte for byte
+BOUNDS_DIGESTS = {
+    ("--k", "2"): "64754187dd06c4c3992f165049a275d9982aa98d5c0578ee70b712a93997e08b",
+    ("--k", "3"): "c215dfa36931d6f332a536baaf8d4909a80f6e78ebce3be704d62621be676ccc",
+    ("--k", "4"): "d9d7a4e06561e4e9feba7e5bbb3eaa4fcdac8118e49c0515304a9d85ae2a5dd6",
+    ("--k", "6"): "14dd64afa35a1a26fecf733a16927fd6586d9034bb8ed282afc8cbb3ae68a990",
+    ("--k", "9"): "9999de52d7ab5b922114b54b16d71cc8da5f2987dbf9b07613ba6cc544e1deab",
+    ("--k", "5", "--v", "2", "--v", "100"):
+        "57d1fe3dbe2ed4986dde028f8d615b0001510e1a04dd9749528ea2f3c5aefda3",
+}
+
+
+@pytest.mark.parametrize("argv", list(BOUNDS_DIGESTS))
+def test_bounds_output_is_pinned(capsys, argv):
+    code, out, err = run(capsys, "bounds", *argv)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == BOUNDS_DIGESTS[argv]
+
+
+def test_bounds_at_float_resolution_and_errors(capsys):
+    code, out, _ = run(capsys, "bounds", "--k", "19")
+    assert code == 0
+    assert out.startswith("unsat_bound_root k=19 c=")
+    for argv in (("--k", "54"), ("--k", "3", "--v", "1")):
+        code, out, err = run(capsys, "bounds", *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error:")
+
+
 def test_bounds_output(capsys):
     code, out, _ = run(capsys, "bounds", "--k", "3")
     assert code == 0
@@ -183,3 +220,61 @@ def test_moments_output(capsys):
     code, out, _ = run(capsys, "moments", "--n", "2", "--m", "2", "--k", "2",
                        "--d", "2,0", "--mc", "2000", "--seed", "1")
     assert "mc_mean" in out
+
+
+def test_solve_prints_unsat_alone(capsys, tmp_path):
+    path = tmp_path / "unit.rsat"
+    path.write_text("p rsat 2 1 2 continuous\n1:le:3/10 1:le:3/10\n1:ge:7/10 1:ge:7/10\n")
+    code, out, _ = run(capsys, "solve", str(path))
+    assert code == 0 and out == "UNSAT\n"
+
+
+def test_solve_out_of_budget_is_resource_limit(capsys, tmp_path):
+    code, out, _ = run(capsys, "gen", "--k", "3", "--n", "10", "--m", "40", "--seed", "1")
+    path = tmp_path / "k3.rsat"
+    path.write_text(out)
+    code, out, err = run(capsys, "solve", str(path), "--decider", "complete", "--budget", "1")
+    assert code == 3 and out == ""
+    assert err.startswith("resource limit:")
+
+
+def test_sweep_reports_limited_trials(capsys, tmp_path):
+    out_path = tmp_path / "sweep.csv"
+    code, out, err = run(capsys, "sweep", "--k", "3", "--v", "continuous", "--n", "10",
+                         "--c", "4", "--c", "1", "--trials", "10", "--decider", "complete",
+                         "--budget", "1", "--out", str(out_path))
+    assert code == 0 and out == ""
+    report = Path(str(out_path) + ".limited.csv").read_text()
+    assert err == report
+    rows = [line.split(",") for line in report.splitlines()[1:]]
+    assert rows and all(int(row[6]) > 0 for row in rows)
+    cells = [line.split(",") for line in out_path.read_text().splitlines()[1:]]
+    assert len(cells) == len(rows) == 2
+    for cell, row in zip(cells, rows):
+        assert cell[3] == row[3]  # same m
+        assert int(cell[5]) == int(row[5]) - int(row[6])  # trials leave out the limited
+
+
+def test_cert_verify_missing_cert_is_parse_error(capsys, tmp_path):
+    path = tmp_path / "f.rsat"
+    path.write_text("p rsat 2 2 1 continuous\n1:le:1/2 2:ge:1/2\n")
+    code, out, err = run(capsys, "cert", "verify", str(path), "--cert", str(tmp_path / "none"))
+    assert code == 2 and out == ""
+    assert err.startswith("parse error: cannot read")
+
+
+def test_gen_into_missing_directory_is_io_error(capsys, tmp_path):
+    code, out, err = run(capsys, "gen", "--k", "2", "--n", "4", "--m", "4",
+                         "--out", str(tmp_path / "missing" / "f.rsat"))
+    assert code == 2 and out == ""
+    assert err.startswith("i/o error:")
+
+
+def test_module_entry_point_passes_exit_code():
+    src = str(Path(rsat.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "rsat", "solve", "/nonexistent/f.rsat"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("parse error: cannot read")

@@ -100,22 +100,35 @@ def _base_text():
         (lambda t: t.replace("1:le:1/2", "1:le:2/4"), 2),  # not reduced
         (lambda t: t.replace("1:le:1/2", "1:le:1/0"), 2),  # zero denominator
         (lambda t: t.replace("1:le:1/2 ", ""), 2),  # wrong arity
-        (lambda t: t.replace("2:le:1/4 1:ge:3/4\n", ""), None),  # clause count
+        (lambda t: t.replace("2:le:1/4 1:ge:3/4\n", ""), 1),  # clause count: the header's m
         (lambda t: t.replace("le", "lt"), 2),  # unknown relation
     ],
 )
 def test_parse_rejections_carry_line_numbers(mutation, line):
     with pytest.raises(ParseError) as err:
         parse_formula(mutation(_base_text()))
-    if line is not None:
-        assert err.value.line == line
-        assert f"line {line}" in str(err.value)
+    assert err.value.line == line
+    assert f"line {line}" in str(err.value)
 
 
 def test_parse_header_errors():
     for text in ("", "p rsat 2 2 continuous\n", "p cnf 2 2 2 continuous\n", "junk\n"):
         with pytest.raises(ParseError):
             parse_formula(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("c x\np rsat 1 2 0 continuous\n", "clause width k must be >= 2, got 1"),
+        ("c x\np rsat 2 -1 0 continuous\n", "variable count must be >= 0, got -1"),
+    ],
+)
+def test_header_value_errors_carry_header_line(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_formula(text)
+    assert err.value.line == 2
+    assert message in str(err.value)
 
 
 def test_parse_bound_outside_v():
@@ -175,3 +188,19 @@ def test_certificate_parse_errors():
         parse_certificate(text.rsplit("\n", 2)[0] + "\n")  # truncated chain
     with pytest.raises(ParseError):
         parse_certificate(text.replace("0 ", "x ", 1))
+
+
+def test_certificate_header_errors_carry_header_line():
+    _, cert = _bicycle_fixture()
+    text = "c truncated\n" + render_certificate(cert).rsplit("\n", 2)[0] + "\n"
+    two_links = "\n".join(text.splitlines()[2:4]) + "\n"
+    cases = [
+        (text, 2, "chain lines"),  # one chain line short of the header's ell
+        ("cert bicycle 1 2 1\n" + two_links, 1, "ell >= 2"),
+        ("c x\ncert snake -1\n", 2, "snake needs -1 variables"),
+    ]
+    for body, line, message in cases:
+        with pytest.raises(ParseError) as err:
+            parse_certificate(body)
+        assert err.value.line == line
+        assert message in str(err.value)

@@ -16,7 +16,6 @@ from rsat import (
     Literal,
     MissingAssignment,
     Rel,
-    complement_literal,
     eval_formula,
     eval_literal,
     occurrence_profile,
@@ -204,35 +203,6 @@ def test_signs_disjoint_matches_grid_enumeration(v, data):
     l1, l2 = draw_literal("l1"), draw_literal("l2")
     expected = not any(eval_literal(l1, x) and eval_literal(l2, x) for x in vals)
     assert signs_disjoint(l1, l2) == expected
-
-
-# ---------------------------------------------------------------------------
-# complements
-
-
-def test_complement_literal_examples():
-    domain = [F(0), F(3, 10), F(7, 10), F(1)]
-    assert complement_literal(le(1, 3, 10), domain) == ge(1, 7, 10)
-    assert complement_literal(ge(1, 3, 10), [F(3, 10)]) is None
-    assert complement_literal(le(1, 1, 2), [F(0), F(1, 2), F(1)]) == ge(1, 1)
-    with pytest.raises(rsat.EmptyDomain):
-        complement_literal(le(1, 1, 2), [])
-
-
-@given(st.integers(min_value=2, max_value=8), st.data())
-@settings(max_examples=200)
-def test_complement_is_exact_negation_over_domain(v, data):
-    vals = vspec_values(Finite(v))
-    domain = sorted(data.draw(st.sets(st.sampled_from(vals), min_size=1, max_size=v)))
-    rel = data.draw(st.sampled_from([Rel.LE, Rel.GE]))
-    pool = vals[:-1] if rel is Rel.LE else vals[1:]
-    lit = Literal(1, rel, data.draw(st.sampled_from(pool)))
-    comp = complement_literal(lit, domain)
-    for x in domain:
-        if comp is None:
-            assert eval_literal(lit, x)
-        else:
-            assert eval_literal(lit, x) != eval_literal(comp, x)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,39 @@
+"""Import hygiene: every module of the package uses every name it imports.
+
+A stdlib-only stand-in for a linter's unused-import rule.  ``__init__.py``
+is left out because its imports are the package's exports.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import rsat
+
+MODULES = sorted(p for p in Path(rsat.__file__).parent.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def test_scan_finds_an_unused_import():
+    assert unused_imports("import math\nfrom typing import Optional\nx: Optional[int]\n") == [
+        "line 1: math"
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_uses_every_import(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

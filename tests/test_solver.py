@@ -241,11 +241,9 @@ def test_digraph_edge_semantics():
         return {x for x in doms[var] if eval_literal(lit, x)}
 
     for nid, key in enumerate(graph.nodes):
-        cid = graph.complement[nid]
-        if cid != -1:
-            ckey = graph.nodes[cid]
-            assert ckey[0] == key[0]
-            assert sat_set(ckey) == set(doms[key[0]]) - sat_set(key)
+        ckey = graph.nodes[nid ^ 1]
+        assert ckey[0] == key[0]
+        assert sat_set(ckey) == set(doms[key[0]]) - sat_set(key)
         for succ in graph.succ[nid]:
             skey = graph.nodes[succ]
             if skey[0] == key[0]:  # entailment edge: satisfying sets nest
