@@ -100,13 +100,15 @@ def _base_text():
         (lambda t: t.replace("1:le:1/2", "1:le:2/4"), 2),  # not reduced
         (lambda t: t.replace("1:le:1/2", "1:le:1/0"), 2),  # zero denominator
         (lambda t: t.replace("1:le:1/2 ", ""), 2),  # wrong arity
-        (lambda t: t.replace("2:le:1/4 1:ge:3/4\n", ""), 1),  # clause count: the header's m
+        (lambda t: t.replace("2:le:1/4 1:ge:3/4\n", ""), None),  # clause count
         (lambda t: t.replace("le", "lt"), 2),  # unknown relation
     ],
 )
 def test_parse_rejections_carry_line_numbers(mutation, line):
     with pytest.raises(ParseError) as err:
         parse_formula(mutation(_base_text()))
+    if line is None:  # no clause line is at fault: the error points at the header's m
+        line = 1
     assert err.value.line == line
     assert f"line {line}" in str(err.value)
 
