@@ -1,7 +1,11 @@
 """Combinatorial unsatisfiability witnesses for width-2 formulas.
 
 Two certificate shapes, both checkable with nothing but clause lookup and
-sign disjointness (the checkers never consult a decider):
+sign disjointness (the checkers never consult a decider).  Each object is
+its chain and nothing more: ``pairs[i]`` is clause ``clause_indices[i]``
+as written in the chain, a (lead, trail) pair of literals, and the length
+``ell`` (one less than the number of pairs) and a snake's variables ``b``
+are derived from it:
 
 * a *bicycle* is a chain of clauses linked through disjoint literal pairs
   on distinct variables, with both chain ends folding back onto interior
@@ -20,11 +24,12 @@ the two-variable clauses that lie on a closed walk of the SCC decider's
 digraph, each named by its lead slot; an arc runs from s to t when t's
 lead is sign-disjoint from s's trail, which the ranks decide without a
 Fraction.  The snake finder tests a walk's closing conditions with the
-same rank rule.  A chain of orientations becomes a certificate through
-``Bicycle.from_links`` or ``Snake.from_links``, and the one certificate a
-finder returns must pass its checker, which reads the formula's Literals,
-not the ranks.  The bicycle finder is a greedy walk, not an exhaustive
-search; the snake finder is best effort (None proves nothing).
+same rank rule.  A chain of orientations becomes a certificate by
+reading each orientation's lead and trail off its clause, and the one
+certificate a finder returns must pass its checker, which reads the
+formula's Literals, not the ranks.  The bicycle finder is a greedy walk,
+not an exhaustive search; the snake finder is best effort (None proves
+nothing).
 """
 
 from __future__ import annotations
@@ -60,15 +65,15 @@ DEFAULT_FIND_BUDGET = 2_000_000
 
 @dataclass(frozen=True)
 class Bicycle:
-    """Chain certificate: literals f0, t1, f1, t2, f2, ..., t_ell, f_ell, t_{ell+1}.
+    """Chain certificate f0 t1, f1 t2, ..., f_ell t_{ell+1}.
 
-    ``clause_indices[i]`` names the formula clause containing exactly
-    { f_i, t_{i+1} }, for i = 0..ell.  ``i0`` and ``i1`` locate the
-    variables of the two end literals among the interior t-variables.
+    ``pairs[i] = (f_i, t_{i+1})`` is clause ``clause_indices[i]`` as written
+    in the chain, for i = 0..ell.  ``i0`` and ``i1`` locate the variables
+    of the two end literals f_0 and t_{ell+1} among the interior
+    t-variables t_1..t_ell.
     """
 
-    ell: int
-    literals: tuple[Literal, ...]
+    pairs: tuple[tuple[Literal, Literal], ...]
     i0: int
     i1: int
     clause_indices: tuple[int, ...]
@@ -76,60 +81,41 @@ class Bicycle:
     def __post_init__(self):
         if self.ell < 2:
             raise ValueError(f"bicycle needs ell >= 2, got {self.ell}")
-        if len(self.literals) != 2 * self.ell + 2:
-            raise ValueError(
-                f"bicycle of ell={self.ell} needs {2 * self.ell + 2} literals, "
-                f"got {len(self.literals)}"
-            )
-        if len(self.clause_indices) != self.ell + 1:
-            raise ValueError(
-                f"bicycle of ell={self.ell} needs {self.ell + 1} clause indices"
-            )
+        if len(self.clause_indices) != len(self.pairs):
+            raise ValueError(f"bicycle of ell={self.ell} needs {self.ell + 1} clause indices")
 
-    @classmethod
-    def from_links(cls, links, i0: int, i1: int) -> Bicycle:
-        """The bicycle whose chain is ``links``: (clause index, f_i, t_{i+1})
-        for i = 0..ell."""
-        literals = tuple(lit for _, lead, trail in links for lit in (lead, trail))
-        return cls(len(links) - 1, literals, i0, i1, tuple(ci for ci, _, _ in links))
+    @property
+    def ell(self) -> int:
+        return len(self.pairs) - 1
 
-    def wf(self, i: int) -> Literal:
-        """f-literal i, 0 <= i <= ell."""
-        return self.literals[0] if i == 0 else self.literals[2 * i]
 
-    def wt(self, i: int) -> Literal:
-        """t-literal i, 1 <= i <= ell + 1."""
-        return self.literals[2 * i - 1]
+def _clauses_match(f: Formula, cert: Bicycle | Snake, kind: str) -> bool:
+    """Whether clause ``clause_indices[i]`` of width-2 ``f`` holds exactly
+    ``pairs[i]``, for every i; raises on another width or on an index that
+    names no clause."""
+    if f.k != 2:
+        raise WrongArity(f"{kind}s are defined for k = 2, got k = {f.k}")
+    for ci in cert.clause_indices:
+        if not (0 <= ci < f.m):
+            raise IndexOutOfRange(f"clause index {ci} outside 0..{f.m - 1}")
+    return all(Counter(f.clauses[ci]) == Counter(pair)
+               for ci, pair in zip(cert.clause_indices, cert.pairs))
 
 
 def verify_bicycle(f: Formula, cert: Bicycle) -> bool:
     """Check the five bicycle conditions literally against ``f``."""
-    if f.k != 2:
-        raise WrongArity(f"bicycles are defined for k = 2, got k = {f.k}")
-    ell = cert.ell
-    for ci in cert.clause_indices:
-        if not (0 <= ci < f.m):
-            raise IndexOutOfRange(f"clause index {ci} outside 0..{f.m - 1}")
-
-    if not (2 <= cert.i0 <= ell and 1 <= cert.i1 <= ell - 1):
+    members = _clauses_match(f, cert, "bicycle")  # bc4
+    ell, pairs = cert.ell, cert.pairs
+    if not (members and 2 <= cert.i0 <= ell and 1 <= cert.i1 <= ell - 1):
         return False
-    t_vars = [cert.wt(i).var for i in range(1, ell + 1)]
+    t_vars = [trail.var for _, trail in pairs[:-1]]  # t_1..t_ell
     if len(set(t_vars)) != ell:  # bc1
         return False
-    for i in range(1, ell + 1):  # bc2 + bc5
-        if cert.wt(i).var != cert.wf(i).var:
+    for (_, t), (f_, _) in zip(pairs, pairs[1:]):  # bc2 + bc5: t_i against f_i
+        if t.var != f_.var or not signs_disjoint(t, f_):
             return False
-        if not signs_disjoint(cert.wt(i), cert.wf(i)):
-            return False
-    if cert.wf(0).var != cert.wt(cert.i0).var:  # bc3
-        return False
-    if cert.wt(ell + 1).var != cert.wt(cert.i1).var:
-        return False
-    for i in range(ell + 1):  # bc4
-        expected = Counter((cert.wf(i), cert.wt(i + 1)))
-        if Counter(f.clauses[cert.clause_indices[i]]) != expected:
-            return False
-    return True
+    # bc3: f_0 folds onto t_{i0}, t_{ell+1} onto t_{i1}
+    return pairs[0][0].var == t_vars[cert.i0 - 1] and pairs[-1][1].var == t_vars[cert.i1 - 1]
 
 
 def _chain_graph(c: CompiledFormula):
@@ -173,9 +159,10 @@ def _chain_graph(c: CompiledFormula):
     return by_lead, successors, disjoint, any(map(eq, comp[0::2], comp[1::2]))
 
 
-def _links(f: Formula, chain):
-    """(clause index, lead, trail) triples of a chain of orientations."""
-    return [(s >> 1, f.clauses[s >> 1][s & 1], f.clauses[s >> 1][(s ^ 1) & 1]) for s in chain]
+def _oriented(f: Formula, s: int) -> tuple[Literal, Literal]:
+    """The (lead, trail) pair of the orientation whose lead is slot ``s``."""
+    clause = f.clauses[s >> 1]
+    return clause[s & 1], clause[(s ^ 1) & 1]
 
 
 def find_bicycle(f: Formula):
@@ -215,7 +202,9 @@ def find_bicycle(f: Formula):
                 r, v = len(chain), var[chain[-1] ^ 1]
                 j = pos.get(v, -1)
                 if q is not None and j > q:  # repeat inside the run: t_{ell+1} folds onto t_{i1}
-                    cert = Bicycle.from_links(_links(f, chain[q:]), i0, j - q)
+                    run = chain[q:]
+                    pairs = tuple(_oriented(f, s) for s in run)
+                    cert = Bicycle(pairs, i0, j - q, tuple(s >> 1 for s in run))
                     if not verify_bicycle(f, cert):
                         raise AssertionError("bicycle finder produced an invalid certificate")
                     return cert
@@ -237,72 +226,52 @@ def find_bicycle(f: Formula):
 class Snake:
     """Closed double-chain certificate.
 
-    ``pairs[i] = (lead_i, trail_i)`` is clause i as written in the chain:
-    lead_i sits on variable b_i, trail_i on b_{i+1}, for i = 0..ell, with
-    the conventions b_0 = b_{ell/2} = b_{ell+1}.  ``b`` lists b_1..b_ell.
+    ``pairs[i] = (lead_i, trail_i)`` is clause ``clause_indices[i]`` as
+    written in the chain: lead_i sits on variable b_i, trail_i on b_{i+1},
+    for i = 0..ell, with the conventions b_0 = b_{ell/2} = b_{ell+1}.
     """
 
-    ell: int
-    b: tuple[int, ...]
     pairs: tuple[tuple[Literal, Literal], ...]
     clause_indices: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.b) != self.ell:
-            raise ValueError(f"snake needs {self.ell} variables, got {len(self.b)}")
-        if len(self.pairs) != self.ell + 1:
-            raise ValueError(f"snake of ell={self.ell} needs {self.ell + 1} clause pairs")
-        if len(self.clause_indices) != self.ell + 1:
+        if self.ell < 0:
+            raise ValueError(f"snake needs ell >= 0, got {self.ell}")
+        if len(self.clause_indices) != len(self.pairs):
             raise ValueError(f"snake of ell={self.ell} needs {self.ell + 1} clause indices")
 
-    @classmethod
-    def from_links(cls, links) -> Snake:
-        """The snake whose chain is ``links``: (clause index, lead_i, trail_i)
-        for i = 0..ell."""
-        return cls(
-            len(links) - 1,
-            tuple(lead.var for _, lead, _ in links[1:]),
-            tuple((lead, trail) for _, lead, trail in links),
-            tuple(ci for ci, _, _ in links),
-        )
+    @property
+    def ell(self) -> int:
+        return len(self.pairs) - 1
 
-    def b_full(self, i: int) -> int:
-        """b_i for 0 <= i <= ell + 1, applying the boundary identifications."""
-        if i == 0 or i == self.ell + 1:
-            i = self.ell // 2
-        return self.b[i - 1]
+    @property
+    def b(self) -> tuple[int, ...]:
+        """b_1..b_ell: the lead variables of clauses 1..ell."""
+        return tuple(lead.var for lead, _ in self.pairs[1:])
 
 
 def verify_snake(f: Formula, cert: Snake) -> bool:
     """Check sk1-sk3, variable consistency and clause membership."""
-    if f.k != 2:
-        raise WrongArity(f"snakes are defined for k = 2, got k = {f.k}")
-    ell = cert.ell
+    members = _clauses_match(f, cert, "snake")
+    ell, pairs = cert.ell, cert.pairs
     if ell < 6 or ell % 2 != 0:
         raise OddLength(f"snake length must be an even integer >= 6, got {ell}")
-    for ci in cert.clause_indices:
-        if not (0 <= ci < f.m):
-            raise IndexOutOfRange(f"clause index {ci} outside 0..{f.m - 1}")
-
-    if len(set(cert.b)) != ell:
+    half = ell // 2
+    b = cert.b
+    if not members or len(set(b)) != ell:
         return False
-    for i in range(ell + 1):
-        lead, trail = cert.pairs[i]
-        if lead.var != cert.b_full(i) or trail.var != cert.b_full(i + 1):
-            return False
-        if Counter(f.clauses[cert.clause_indices[i]]) != Counter((lead, trail)):
+    b = (b[half - 1],) + b + (b[half - 1],)  # b_0..b_{ell+1}
+    for i, (lead, trail) in enumerate(pairs):
+        if lead.var != b[i] or trail.var != b[i + 1]:
             return False
     for i in range(1, ell + 1):  # sk1: trail of clause i-1 vs lead of clause i
-        if not signs_disjoint(cert.pairs[i - 1][1], cert.pairs[i][0]):
+        if not signs_disjoint(pairs[i - 1][1], pairs[i][0]):
             return False
-    if not signs_disjoint(cert.pairs[ell][1], cert.pairs[0][0]):  # sk2
+    if not signs_disjoint(pairs[ell][1], pairs[0][0]):  # sk2
         return False
-    half = ell // 2
-    if not signs_disjoint(cert.pairs[half - 1][1], cert.pairs[ell][1]):  # sk3
+    if not signs_disjoint(pairs[half - 1][1], pairs[ell][1]):  # sk3
         return False
-    if not signs_disjoint(cert.pairs[half][0], cert.pairs[0][0]):
-        return False
-    return True
+    return signs_disjoint(pairs[half][0], pairs[0][0])
 
 
 def find_snake(f: Formula, budget: int = DEFAULT_FIND_BUDGET):
@@ -370,7 +339,8 @@ def find_snake(f: Formula, budget: int = DEFAULT_FIND_BUDGET):
                         if (d2 == d1 + 1 or d2 == d1 - 1 >= 3) and disjoint(t ^ 1, start) and \
                                 disjoint(chain[d1 - 1] ^ 1, t ^ 1) and disjoint(chain[d1], start):
                             snake = chain + [t] if d2 > d1 else chain[d1:] + [t] + chain[:d1]
-                            cert = Snake.from_links(_links(f, snake))
+                            pairs = tuple(_oriented(f, s) for s in snake)
+                            cert = Snake(pairs, tuple(s >> 1 for s in snake))
                             if not verify_snake(f, cert):
                                 raise AssertionError("snake finder produced an invalid certificate")
                             return cert

@@ -236,15 +236,16 @@ def _cmd_bounds(args) -> int:
         lines.append(f"unsat_bound_value_at_reference k={k} value={value:.6f}")
     for v in args.v or [2, 3, 4, 8, 16]:
         lines.append(f"width3_unsat_bound v={v} c={analytics.bejar_bound(v):.6f}")
-    # smallest v where the width-3 bound exceeds this k's root: v = ceil((8/7)^root)
+    # smallest v where the width-3 bound exceeds this k's root: v = ceil((8/7)^root);
+    # a double fixes the integer only below 2^53, so above it print v's order
     log_v = root * math.log(8.0 / 7.0)
-    if log_v < 700.0:
+    if log_v < 53 * math.log(2.0):
         crossover = max(2, math.floor(math.exp(log_v)) + 1)
         while analytics.bejar_bound(crossover - 1) > root and crossover > 2:
             crossover -= 1
         lines.append(f"crossover_v k={k} v={crossover}")
     else:
-        lines.append(f"crossover_v k={k} v=>10^{log_v / math.log(10.0):.0f}")
+        lines.append(f"crossover_v k={k} v=>10^{math.floor(log_v / math.log(10.0))}")
     print("\n".join(lines))  # only once every line is computed: an error prints none
     return EXIT_OK
 

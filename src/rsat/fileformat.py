@@ -9,7 +9,8 @@ Formula files::
 
 with ``<vspec>`` one of ``finite:<v>``, ``dyadic:<lambda>``,
 ``continuous``.  Fractions must be in lowest terms with positive
-denominator; innocuous literals, bounds outside the header's value set,
+denominator, and every integer is written as ``str(int(field))`` gives
+it; innocuous literals, bounds outside the header's value set,
 out-of-range variables and wrong-arity clauses are rejected with the
 offending line number.
 
@@ -26,7 +27,7 @@ equality).
 
 from __future__ import annotations
 
-import math
+import re
 from fractions import Fraction
 
 from .certificates import Bicycle, Snake
@@ -45,6 +46,20 @@ from .formula import (
 )
 
 _RELS = {"le": Rel.LE, "ge": Rel.GE}
+_CERT_HEADERS = {"bicycle": "cert bicycle <ell> <i0> <i1>", "snake": "cert snake <ell>"}
+
+# an integer field is read only in the form str(int(field)) gives it: no
+# sign "+", underscore, leading zero, "-0" or non-ASCII digit; a literal
+# token's variable and denominator are positive, its numerator is not negative
+_POS = "[1-9][0-9]*"
+_INT_RE = re.compile(f"0|-?{_POS}")
+_literal_match = re.compile(f"({_POS}):(le|ge):(0|{_POS})/({_POS})").fullmatch
+
+
+def _int(field: str, what: str, line: int | None) -> int:
+    if _INT_RE.fullmatch(field) is None:
+        raise ParseError(f"bad {what} {field!r} (expected a canonical integer)", line)
+    return int(field)
 
 
 def vspec_to_token(vspec: TruthValueSpec) -> str:
@@ -60,10 +75,7 @@ def vspec_from_token(token: str, line: int | None = None) -> TruthValueSpec:
         return CONTINUOUS
     kind, sep, arg = token.partition(":")
     if sep:
-        try:
-            value = int(arg)
-        except ValueError:
-            raise ParseError(f"bad truth-value-set parameter {arg!r}", line) from None
+        value = _int(arg, "truth-value-set parameter", line)
         try:
             if kind == "finite":
                 return Finite(value)
@@ -79,32 +91,20 @@ def literal_to_token(lit: Literal) -> str:
 
 
 def literal_from_token(token: str, line: int | None = None) -> Literal:
-    parts = token.split(":")
-    if len(parts) != 3:
-        raise ParseError(f"bad literal token {token!r}", line)
-    var_s, rel_s, frac_s = parts
+    match = _literal_match(token)
+    if match is None:
+        raise ParseError(
+            f"bad literal token {token!r} (expected <var>:<le|ge>:<num>/<den> in canonical"
+            " integers, with <var> and <den> positive)",
+            line,
+        )
+    var_s, rel_s, num_s, den_s = match.groups()
+    den = int(den_s)
+    bound = Fraction(int(num_s), den)
+    if bound.denominator != den:
+        raise ParseError(f"fraction '{num_s}/{den_s}' is not in lowest terms", line)
     try:
-        var = int(var_s)
-    except ValueError:
-        raise ParseError(f"bad variable index {var_s!r}", line) from None
-    rel = _RELS.get(rel_s)
-    if rel is None:
-        raise ParseError(f"bad relation {rel_s!r} (expected le or ge)", line)
-    num_s, sep, den_s = frac_s.partition("/")
-    if not sep:
-        raise ParseError(f"bad fraction {frac_s!r} (expected num/den)", line)
-    try:
-        num, den = int(num_s), int(den_s)
-    except ValueError:
-        raise ParseError(f"bad fraction {frac_s!r}", line) from None
-    if den <= 0:
-        raise ParseError(f"fraction denominator must be positive in {frac_s!r}", line)
-    if num < 0:
-        raise ParseError(f"fraction must be nonnegative in {frac_s!r}", line)
-    if math.gcd(num, den) != 1:
-        raise ParseError(f"fraction {frac_s!r} is not in lowest terms", line)
-    try:
-        return Literal(var, rel, Fraction(num, den))
+        return Literal(int(var_s), _RELS[rel_s], bound)
     except ValueError as exc:
         raise ParseError(str(exc), line) from None
 
@@ -139,10 +139,7 @@ def parse_formula(text: str) -> Formula:
             fields = line.split()
             if len(fields) != 6 or fields[0] != "p" or fields[1] != "rsat":
                 raise ParseError("expected header 'p rsat <k> <n> <m> <vspec>'", lineno)
-            try:
-                k, n, m = int(fields[2]), int(fields[3]), int(fields[4])
-            except ValueError:
-                raise ParseError("header k, n, m must be integers", lineno) from None
+            k, n, m = (_int(field, "header field", lineno) for field in fields[2:5])
             vspec = vspec_from_token(fields[5], lineno)
             grid = vspec_grid(vspec)
             header = lineno
@@ -177,31 +174,25 @@ def parse_formula(text: str) -> Formula:
 def render_certificate(cert: Bicycle | Snake) -> str:
     if isinstance(cert, Bicycle):
         lines = [f"cert bicycle {cert.ell} {cert.i0} {cert.i1}"]
-        links = zip(cert.literals[0::2], cert.literals[1::2])  # (f_i, t_{i+1})
     else:
         lines = [f"cert snake {cert.ell}"]
-        links = cert.pairs
-    for ci, (lead, trail) in zip(cert.clause_indices, links):
+    for ci, (lead, trail) in zip(cert.clause_indices, cert.pairs):
         lines.append(f"{ci} {literal_to_token(lead)} {literal_to_token(trail)}")
     return "\n".join(lines) + "\n"
 
 
 def _parse_chain_lines(entries: list[tuple[int, str]], expected: int, header_line: int):
+    """(pairs, clause_indices) of the chain lines after a certificate header."""
     if len(entries) != expected:
         raise ParseError(f"expected {expected} chain lines, found {len(entries)}", header_line)
-    chain = []
+    pairs, clause_indices = [], []
     for lineno, line in entries:
         fields = line.split()
         if len(fields) != 3:
             raise ParseError("expected '<clause_index> <lit> <lit>'", lineno)
-        try:
-            ci = int(fields[0])
-        except ValueError:
-            raise ParseError(f"bad clause index {fields[0]!r}", lineno) from None
-        lead = literal_from_token(fields[1], lineno)
-        trail = literal_from_token(fields[2], lineno)
-        chain.append((ci, lead, trail))
-    return chain
+        clause_indices.append(_int(fields[0], "clause index", lineno))
+        pairs.append((literal_from_token(fields[1], lineno), literal_from_token(fields[2], lineno)))
+    return tuple(pairs), tuple(clause_indices)
 
 
 def parse_certificate(text: str) -> Bicycle | Snake:
@@ -210,30 +201,16 @@ def parse_certificate(text: str) -> Bicycle | Snake:
         raise ParseError("missing 'cert' header")
     (header_line, first), *entries = lines
     header = first.split()
-    if len(header) < 2 or header[0] != "cert" or header[1] not in ("bicycle", "snake"):
+    usage = _CERT_HEADERS.get(header[1]) if len(header) >= 2 and header[0] == "cert" else None
+    if usage is None:
         raise ParseError("expected header 'cert bicycle ...' or 'cert snake ...'", header_line)
-
-    if header[1] == "bicycle":
-        if len(header) != 5:
-            raise ParseError("expected 'cert bicycle <ell> <i0> <i1>'", header_line)
-        try:
-            ell, i0, i1 = int(header[2]), int(header[3]), int(header[4])
-        except ValueError:
-            raise ParseError("bicycle header fields must be integers", header_line) from None
-        chain = _parse_chain_lines(entries, ell + 1, header_line)
-        try:
-            return Bicycle.from_links(chain, i0, i1)
-        except ValueError as exc:  # the chain lines parsed: the header is at fault
-            raise ParseError(str(exc), header_line) from None
-
-    if len(header) != 3:
-        raise ParseError("expected 'cert snake <ell>'", header_line)
+    if len(header) != len(usage.split()):
+        raise ParseError(f"expected {usage!r}", header_line)
+    ell, *ends = (_int(field, f"{header[1]} header field", header_line) for field in header[2:])
+    pairs, clause_indices = _parse_chain_lines(entries, ell + 1, header_line)
     try:
-        ell = int(header[2])
-    except ValueError:
-        raise ParseError("snake header field must be an integer", header_line) from None
-    chain = _parse_chain_lines(entries, ell + 1, header_line)
-    try:
-        return Snake.from_links(chain)
-    except ValueError as exc:
+        if header[1] == "bicycle":
+            return Bicycle(pairs, *ends, clause_indices)
+        return Snake(pairs, clause_indices)
+    except ValueError as exc:  # the chain lines parsed: the header is at fault
         raise ParseError(str(exc), header_line) from None

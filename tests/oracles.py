@@ -149,8 +149,8 @@ def exhaustive_bicycle(f, budget: int):
         i1 = next((i for i in range(1, ell) if link_vars[i - 1] == chain[-1][2].var), None)
         if i0 is None or i1 is None:
             return None
-        literals = tuple(lit for _, lead, trail in chain for lit in (lead, trail))
-        cert = Bicycle(ell, literals, i0, i1, tuple(idx for idx, _, _ in chain))
+        pairs = tuple((lead, trail) for _, lead, trail in chain)
+        cert = Bicycle(pairs, i0, i1, tuple(idx for idx, _, _ in chain))
         return cert if verify_bicycle(f, cert) else None
 
     def dfs(chain, link_vars):

@@ -18,7 +18,6 @@ from rsat import (
     wilson_interval,
 )
 from rsat.analytics import falling_factorial
-from oracles import three_sigma
 
 
 # ---------------------------------------------------------------------------

@@ -56,8 +56,7 @@ def handmade_bicycle():
     clauses = ((f0, t1), (f1, t2), (f2, t3))
     f = Formula(2, 2, clauses, CONTINUOUS)
     cert = Bicycle(
-        ell=2,
-        literals=(f0, t1, f1, t2, f2, t3),
+        pairs=((f0, t1), (f1, t2), (f2, t3)),
         i0=2,
         i1=1,
         clause_indices=(0, 1, 2),
@@ -72,27 +71,27 @@ def test_verify_bicycle_handmade():
 
 def test_verify_bicycle_bc4_failure():
     f, cert = handmade_bicycle()
-    wrong = Bicycle(cert.ell, cert.literals, cert.i0, cert.i1, (1, 1, 2))
+    wrong = Bicycle(cert.pairs, cert.i0, cert.i1, (1, 1, 2))
     assert not verify_bicycle(f, wrong)
 
 
 def test_verify_bicycle_bc5_failure():
     f, cert = handmade_bicycle()
-    lits = list(cert.literals)
-    lits[2] = le(1, 8)  # no longer disjoint from t1 = (x1 >= 0.6)
-    broken = Bicycle(cert.ell, tuple(lits), cert.i0, cert.i1, cert.clause_indices)
+    pairs = list(cert.pairs)
+    pairs[1] = (le(1, 8), pairs[1][1])  # f1 no longer disjoint from t1 = (x1 >= 0.6)
+    broken = Bicycle(tuple(pairs), cert.i0, cert.i1, cert.clause_indices)
     assert not verify_bicycle(f, broken)
 
 
 def test_verify_bicycle_errors_and_ranges():
     f, cert = handmade_bicycle()
     with pytest.raises(IndexOutOfRange):
-        verify_bicycle(f, Bicycle(cert.ell, cert.literals, cert.i0, cert.i1, (0, 1, 99)))
-    assert not verify_bicycle(f, Bicycle(cert.ell, cert.literals, 1, 1, cert.clause_indices))
+        verify_bicycle(f, Bicycle(cert.pairs, cert.i0, cert.i1, (0, 1, 99)))
+    assert not verify_bicycle(f, Bicycle(cert.pairs, 1, 1, cert.clause_indices))
     with pytest.raises(WrongArity):
         verify_bicycle(sample_formula(GenConfig(k=3, n=3, m=2, seed=0)), cert)
     with pytest.raises(ValueError):
-        Bicycle(2, cert.literals[:-1], 2, 1, (0, 1, 2))
+        Bicycle(cert.pairs[:-1], 2, 1, (0, 1, 2))
 
 
 def test_find_bicycle_on_planted_instance():
@@ -133,7 +132,7 @@ def test_bicycles_can_occur_in_satisfiable_formulas():
     t2, f2 = ge(2, 6), le(2, 4)
     f0, t3 = le(2, 9), ge(1, 1)
     f = Formula(2, 2, ((f0, t1), (f1, t2), (f2, t3)), CONTINUOUS)
-    cert = Bicycle(2, (f0, t1, f1, t2, f2, t3), 2, 1, (0, 1, 2))
+    cert = Bicycle(((f0, t1), (f1, t2), (f2, t3)), 2, 1, (0, 1, 2))
     assert verify_bicycle(f, cert)
     found = exhaustive_bicycle(f, DEFAULT_FIND_BUDGET)
     assert found and verify_bicycle(f, found)
@@ -202,7 +201,7 @@ def planted_snake(ell=6):
         pairs.append((lead, trail))
     clauses = tuple((lead, trail) for lead, trail in pairs)
     f = Formula(2, ell, clauses, CONTINUOUS)
-    cert = Snake(ell, tuple(b), tuple(pairs), tuple(range(ell + 1)))
+    cert = Snake(tuple(pairs), tuple(range(ell + 1)))
     return f, cert
 
 
@@ -218,7 +217,7 @@ def test_verify_snake_sk3_failure():
     pairs = list(cert.pairs)
     lead, trail = pairs[6]
     pairs[6] = (lead, Literal(trail.var, Rel.GE, F(1, 10)))  # overlaps lead of clause 0
-    broken = Snake(cert.ell, cert.b, tuple(pairs), cert.clause_indices)
+    broken = Snake(tuple(pairs), cert.clause_indices)
     assert not verify_snake(f, broken)
 
 
@@ -227,18 +226,18 @@ def test_verify_snake_middle_identity_failure():
     pairs = list(cert.pairs)
     lead, trail = pairs[3]
     pairs[3] = (Literal(5, lead.rel, lead.bound), trail)  # lead must sit on b_3
-    broken = Snake(cert.ell, cert.b, tuple(pairs), cert.clause_indices)
+    broken = Snake(tuple(pairs), cert.clause_indices)
     assert not verify_snake(f, broken)
 
 
 def test_verify_snake_errors():
     f, cert = planted_snake(6)
     with pytest.raises(OddLength):
-        verify_snake(f, Snake(5, cert.b[:5], cert.pairs[:6], cert.clause_indices[:6]))
+        verify_snake(f, Snake(cert.pairs[:6], cert.clause_indices[:6]))
     with pytest.raises(OddLength):
-        verify_snake(f, Snake(4, cert.b[:4], cert.pairs[:5], cert.clause_indices[:5]))
+        verify_snake(f, Snake(cert.pairs[:5], cert.clause_indices[:5]))
     with pytest.raises(IndexOutOfRange):
-        verify_snake(f, Snake(cert.ell, cert.b, cert.pairs, (0, 1, 2, 3, 4, 5, 42)))
+        verify_snake(f, Snake(cert.pairs, (0, 1, 2, 3, 4, 5, 42)))
     with pytest.raises(WrongArity):
         verify_snake(sample_formula(GenConfig(k=3, n=6, m=3, seed=0)), cert)
 
@@ -302,22 +301,31 @@ SNAKE_PINS = {
 }
 
 
+def _digest(cert):
+    """sha256 of a certificate's file, after checking that its derived
+    fields agree with its chain and that the file parses back to it."""
+    assert cert.ell == len(cert.pairs) - 1
+    if isinstance(cert, Snake):
+        assert cert.b == tuple(lead.var for lead, _ in cert.pairs[1:])
+    text = rsat.render_certificate(cert)
+    assert rsat.parse_certificate(text) == cert
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 @pytest.mark.parametrize("seed", sorted(SNAKE_PINS))
 def test_find_snake_pinned(seed):
     f = sample_formula(GenConfig(k=2, n=24, m=96, seed=seed))
     cert = find_snake(f, budget=200_000)
-    digest = None if cert is None else hashlib.sha256(
-        rsat.render_certificate(cert).encode()).hexdigest()
-    assert digest == SNAKE_PINS[seed]
+    assert (None if cert is None else _digest(cert)) == SNAKE_PINS[seed]
 
 
 def _outcome(cert):
-    """A finder's result as pinned: NONE, BUDGET_EXHAUSTED or its file's sha256."""
+    """A finder's result as pinned: NONE, BUDGET_EXHAUSTED or its digest."""
     if cert is None:
         return "NONE"
     if cert is BUDGET_EXHAUSTED:
         return "BUDGET_EXHAUSTED"
-    return hashlib.sha256(rsat.render_certificate(cert).encode()).hexdigest()
+    return _digest(cert)
 
 
 # exhaustive_bicycle outcomes for seeds 60000-60009 on distinct-variables

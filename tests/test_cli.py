@@ -1,4 +1,5 @@
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import rsat
-from rsat.cli import main
+from rsat.cli import REFERENCE_UNSAT_BOUND, main
 
 from oracles import deep_pairs_formula, ring_formula
 
@@ -178,8 +179,8 @@ BOUNDS_DIGESTS = {
     ("--k", "2"): "64754187dd06c4c3992f165049a275d9982aa98d5c0578ee70b712a93997e08b",
     ("--k", "3"): "c215dfa36931d6f332a536baaf8d4909a80f6e78ebce3be704d62621be676ccc",
     ("--k", "4"): "d9d7a4e06561e4e9feba7e5bbb3eaa4fcdac8118e49c0515304a9d85ae2a5dd6",
-    ("--k", "6"): "14dd64afa35a1a26fecf733a16927fd6586d9034bb8ed282afc8cbb3ae68a990",
-    ("--k", "9"): "9999de52d7ab5b922114b54b16d71cc8da5f2987dbf9b07613ba6cc544e1deab",
+    ("--k", "6"): "1f9e843f53f525062c3251f7ec533826f5aad95a80829c0f32b3085b449b6aa6",
+    ("--k", "9"): "b7035dc2f01ed56be638d8472bb8774f25bc25be75df676d06c52753408373b7",
     ("--k", "5", "--v", "2", "--v", "100"):
         "57d1fe3dbe2ed4986dde028f8d615b0001510e1a04dd9749528ea2f3c5aefda3",
 }
@@ -190,6 +191,35 @@ def test_bounds_output_is_pinned(capsys, argv):
     code, out, err = run(capsys, "bounds", *argv)
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == BOUNDS_DIGESTS[argv]
+
+
+@pytest.mark.parametrize("k", range(2, 13))
+def test_bounds_lines_are_true(capsys, k):
+    code, out, _ = run(capsys, "bounds", "--k", str(k))
+    assert code == 0
+    root = rsat.thm1_root(k)
+    for line in out.splitlines():
+        name, *pairs = line.split()
+        field = dict(pair.split("=", 1) for pair in pairs)
+        if name == "unsat_bound_root":  # the printed c rounds the root
+            c = float(field["c"])
+            assert rsat.thm1_value(k, c - 1e-6) > 1 > rsat.thm1_value(k, c + 1e-6)
+        elif name == "unsat_bound_reference":
+            assert rsat.thm1_value(k, float(field["c"])) < 1
+        elif name == "unsat_bound_value_at_reference":
+            reference = REFERENCE_UNSAT_BOUND[k]
+            assert abs(float(field["value"]) - rsat.thm1_value(k, reference)) <= 5e-7
+        elif name == "width3_unsat_bound":
+            assert abs(float(field["c"]) - rsat.bejar_bound(int(field["v"]))) <= 5e-7
+        else:  # the smallest v whose width-3 bound exceeds the root
+            assert name == "crossover_v"
+            v = field["v"]
+            if v.startswith(">10^"):
+                assert root * math.log10(8 / 7) >= int(v[4:])
+            else:
+                v = int(v)
+                assert rsat.bejar_bound(v) > root
+                assert v == 2 or rsat.bejar_bound(v - 1) <= root
 
 
 def test_bounds_at_float_resolution_and_errors(capsys):

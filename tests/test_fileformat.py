@@ -102,6 +102,15 @@ def _base_text():
         (lambda t: t.replace("1:le:1/2 ", ""), 2),  # wrong arity
         (lambda t: t.replace("2:le:1/4 1:ge:3/4\n", ""), None),  # clause count
         (lambda t: t.replace("le", "lt"), 2),  # unknown relation
+        # integer fields only in the form str(int(field)) gives them
+        (lambda t: t.replace("1:le:1/2", "+1:le:1/2"), 2),
+        (lambda t: t.replace("2:ge:1/2", "\u0662:ge:1/2"), 2),  # ARABIC-INDIC DIGIT TWO
+        (lambda t: t.replace("2:ge:1/2", "2:ge:01/2"), 2),
+        (lambda t: t.replace("1:le:1/2", "1:le:1/0_2"), 2),
+        (lambda t: t.replace("p rsat 2 2 2", "p rsat 2 0_2 2"), 1),
+        (lambda t: t.replace("p rsat 2 2 2", "p rsat 02 2 2"), 1),
+        (lambda t: t.replace("p rsat 2 2 2", "p rsat 2 2 \u0662"), 1),
+        (lambda t: t.replace("continuous", "finite:+3"), 1),
     ],
 )
 def test_parse_rejections_carry_line_numbers(mutation, line):
@@ -199,7 +208,8 @@ def test_certificate_header_errors_carry_header_line():
     cases = [
         (text, 2, "chain lines"),  # one chain line short of the header's ell
         ("cert bicycle 1 2 1\n" + two_links, 1, "ell >= 2"),
-        ("c x\ncert snake -1\n", 2, "snake needs -1 variables"),
+        ("c x\ncert snake -1\n", 2, "snake needs ell >= 0, got -1"),
+        ("c x\ncert snake 0_6\n", 2, "bad snake header field '0_6'"),
     ]
     for body, line, message in cases:
         with pytest.raises(ParseError) as err:

@@ -1,4 +1,3 @@
-import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -9,7 +8,6 @@ import rsat
 from oracles import fraction_literal_error, fraction_vspec_contains
 from rsat import (
     CONTINUOUS,
-    Continuous,
     Dyadic,
     Finite,
     Formula,

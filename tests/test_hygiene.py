@@ -1,7 +1,8 @@
-"""Import hygiene: every module of the package uses every name it imports.
+"""Import hygiene: every module of the package, the tests and the scripts
+uses every name it imports.
 
-A stdlib-only stand-in for a linter's unused-import rule.  ``__init__.py``
-is left out because its imports are the package's exports.
+A stdlib-only stand-in for a linter's unused-import rule.  The package's
+``__init__.py`` is left out because its imports are the package's exports.
 """
 
 import ast
@@ -11,7 +12,10 @@ import pytest
 
 import rsat
 
-MODULES = sorted(p for p in Path(rsat.__file__).parent.glob("*.py") if p.name != "__init__.py")
+PACKAGE = Path(rsat.__file__).parent
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES += sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -34,6 +38,7 @@ def test_scan_finds_an_unused_import():
     ]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", MODULES, ids=lambda p: p.name if p.parent == PACKAGE else f"{p.parent.name}/{p.name}")
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []

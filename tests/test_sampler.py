@@ -2,8 +2,6 @@ import hashlib
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import rsat
 from rsat import (

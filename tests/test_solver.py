@@ -3,7 +3,6 @@ from fractions import Fraction as F
 
 import pytest
 
-import rsat
 from rsat import (
     CONTINUOUS,
     Dyadic,
