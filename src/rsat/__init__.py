@@ -45,6 +45,7 @@ from .fileformat import (
 from .formula import (
     CONTINUOUS,
     Clause,
+    ClauseError,
     Continuous,
     Dyadic,
     Finite,

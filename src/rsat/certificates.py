@@ -36,7 +36,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from operator import eq
 
 from .analytics import snake_length
 from .errors import IndexOutOfRange, OddLength, WrongArity
@@ -137,7 +136,7 @@ def _chain_graph(c: CompiledFormula):
     component with its complement, i.e. ``c`` is unsatisfiable.
     """
     var, ge, rank = c.var, c.ge, c.rank
-    nodes, comp = literal_components(c)
+    nodes, comp, refuted = literal_components(c)
     by_lead: dict[int, list[int]] = {}
     for s in range(len(var)):
         u, w = nodes[s], nodes[s ^ 1]
@@ -156,7 +155,7 @@ def _chain_graph(c: CompiledFormula):
             out = cache[key] = [t for t in by_lead.get(var[a], ()) if disjoint(a, t)]
         return out
 
-    return by_lead, successors, disjoint, any(map(eq, comp[0::2], comp[1::2]))
+    return by_lead, successors, disjoint, refuted
 
 
 def _oriented(f: Formula, s: int) -> tuple[Literal, Literal]:
@@ -187,8 +186,6 @@ def find_bicycle(f: Formula):
 
     Returns a verified Bicycle or None.
     """
-    if f.k != 2:
-        raise WrongArity(f"bicycles are defined for k = 2, got k = {f.k}")
     c = compile_formula(f)
     var = c.var
     by_lead, successors, _, _ = _chain_graph(c)
@@ -289,14 +286,10 @@ def find_snake(f: Formula, budget: int = DEFAULT_FIND_BUDGET):
     unsatisfiability, so a satisfiable formula is not searched.  The first
     half is at most a small margin above log n / log(m/2n) long.
     """
-    if f.k != 2:
-        raise WrongArity(f"snakes are defined for k = 2, got k = {f.k}")
-    if f.m < 7:
-        return None
     c = compile_formula(f)
     var = c.var
     by_lead, successors, disjoint, refuted = _chain_graph(c)
-    if not refuted:
+    if not refuted or f.m < 7:
         return None
     if f.m > 2 * f.n and f.n >= 2:
         max_half = 2 + snake_length(f.n, f.m / f.n) // 2

@@ -23,7 +23,7 @@ from .certificates import (
     verify_bicycle,
     verify_snake,
 )
-from .errors import ParseError, ResourceLimit, RsatError
+from .errors import DomainError, ParseError, ResourceLimit, RsatError
 from .fileformat import (
     parse_certificate,
     parse_formula,
@@ -260,30 +260,29 @@ def _sample_profile(n: int, km: int, stream: Stream) -> list[int]:
 def _cmd_moments(args) -> int:
     try:
         d = [int(part) for part in args.d.split(",")]
-    except ValueError:
-        raise _UsageError(f"bad --d list: {args.d!r}") from None
-    exact = analytics.exact_factorial_moment(args.n, args.m, args.k, d)
-    big_d = sum(d)
-    cap = (args.k * args.m / args.n) ** big_d
-    print(f"exact {exact.numerator}/{exact.denominator} ({float(exact):.6f})")
-    print(f"cap_power {cap:.6f}")
-    print(f"within_cap {float(exact) <= cap + 1e-12}")
-    if args.mc > 0:
-        stream = Stream(args.seed)
-        km = args.k * args.m
-        total = 0.0
-        total_sq = 0.0
-        for _ in range(args.mc):
-            profile = _sample_profile(args.n, km, stream)
-            prod = 1
-            for j, dj in enumerate(d):
-                prod *= analytics.falling_factorial(profile[j], dj)
-            total += prod
-            total_sq += prod * prod
-        mean = total / args.mc
-        var = max(0.0, total_sq / args.mc - mean * mean)
-        sigma = (var / args.mc) ** 0.5
-        print(f"mc_mean {mean:.6f} mc_sigma {sigma:.6f} samples {args.mc}")
+        exact = analytics.exact_factorial_moment(args.n, args.m, args.k, d)
+    except ValueError as exc:
+        raise _UsageError(f"bad --d list {args.d!r}: {exc}") from None
+    try:  # every value is computed before the first line is printed
+        value, cap = float(exact), (args.k * args.m / args.n) ** sum(d)
+        lines = [f"exact {exact.numerator}/{exact.denominator} ({value:.6f})",
+                 f"cap_power {cap:.6f}", f"within_cap {value <= cap + 1e-12}"]
+        if args.mc > 0:
+            stream = Stream(args.seed)
+            total = total_sq = 0  # exact integers; only the results become floats
+            for _ in range(args.mc):
+                profile = _sample_profile(args.n, args.k * args.m, stream)
+                prod = 1
+                for j, dj in enumerate(d):
+                    prod *= analytics.falling_factorial(profile[j], dj)
+                total += prod
+                total_sq += prod * prod
+            mean = total / args.mc
+            sigma = ((total_sq * args.mc - total * total) / args.mc**3) ** 0.5
+            lines.append(f"mc_mean {mean:.6f} mc_sigma {sigma:.6f} samples {args.mc}")
+    except OverflowError:
+        raise DomainError(f"a moment for --d {args.d} is outside the double range") from None
+    print("\n".join(lines))
     return EXIT_OK
 
 

@@ -10,9 +10,11 @@ Formula files::
 with ``<vspec>`` one of ``finite:<v>``, ``dyadic:<lambda>``,
 ``continuous``.  Fractions must be in lowest terms with positive
 denominator, and every integer is written as ``str(int(field))`` gives
-it; innocuous literals, bounds outside the header's value set,
-out-of-range variables and wrong-arity clauses are rejected with the
-offending line number.
+it.  `Formula` checks the clause rules (width k, variables in 1..n,
+bounds in V) and the parser names the offending line.  Errors come in
+this order: token errors (innocuous literals among them) in file order,
+then the first clause that breaks a clause rule, then a clause count
+other than the header's m.
 
 Certificate files::
 
@@ -34,15 +36,13 @@ from .certificates import Bicycle, Snake
 from .errors import ParseError
 from .formula import (
     CONTINUOUS,
-    Clause,
+    ClauseError,
     Dyadic,
     Finite,
     Formula,
     Literal,
     Rel,
     TruthValueSpec,
-    on_grid,
-    vspec_grid,
 )
 
 _RELS = {"le": Rel.LE, "ge": Rel.GE}
@@ -129,42 +129,29 @@ def render_formula(f: Formula) -> str:
 
 
 def parse_formula(text: str) -> Formula:
-    header = None
-    clauses: list[Clause] = []
-    k = n = m = 0
-    vspec: TruthValueSpec = CONTINUOUS
-    grid = 0
-    for lineno, line in _content_lines(text):
-        if header is None:
-            fields = line.split()
-            if len(fields) != 6 or fields[0] != "p" or fields[1] != "rsat":
-                raise ParseError("expected header 'p rsat <k> <n> <m> <vspec>'", lineno)
-            k, n, m = (_int(field, "header field", lineno) for field in fields[2:5])
-            vspec = vspec_from_token(fields[5], lineno)
-            grid = vspec_grid(vspec)
-            header = lineno
-            continue
-        tokens = line.split()
-        if len(tokens) != k:
-            raise ParseError(f"clause has {len(tokens)} literals, expected {k}", lineno)
-        lits = []
-        for token in tokens:
-            lit = literal_from_token(token, lineno)
-            if not (1 <= lit.var <= n):
-                raise ParseError(f"variable x{lit.var} outside 1..{n}", lineno)
-            if not on_grid(grid, lit.bound):
-                raise ParseError(f"bound {lit.bound} not in V of {vspec}", lineno)
-            lits.append(lit)
-        clauses.append(tuple(lits))
+    lines = _content_lines(text)
+    header, line = next(lines, (None, ""))
     if header is None:
         raise ParseError("missing 'p rsat' header")
-    if len(clauses) != m:
-        raise ParseError(f"expected {m} clause lines, found {len(clauses)}", header)
+    fields = line.split()
+    if len(fields) != 6 or fields[0] != "p" or fields[1] != "rsat":
+        raise ParseError("expected header 'p rsat <k> <n> <m> <vspec>'", header)
+    k, n, m = (_int(field, "header field", header) for field in fields[2:5])
+    vspec = vspec_from_token(fields[5], header)
+    clauses, clause_lines = [], []
+    for lineno, line in lines:
+        clauses.append(tuple(literal_from_token(token, lineno) for token in line.split()))
+        clause_lines.append(lineno)
     distinct = all(len({lit.var for lit in cl}) == len(cl) for cl in clauses)
     try:
-        return Formula(k, n, tuple(clauses), vspec, distinct)
-    except ValueError as exc:  # each clause passed its checks above: the header is at fault
+        f = Formula(k, n, tuple(clauses), vspec, distinct)
+    except ClauseError as exc:
+        raise ParseError(exc.reason, clause_lines[exc.index]) from None
+    except ValueError as exc:  # no clause is at fault: the header is
         raise ParseError(str(exc), header) from None
+    if f.m != m:
+        raise ParseError(f"expected {m} clause lines, found {f.m}", header)
+    return f
 
 
 # ---------------------------------------------------------------------------

@@ -170,6 +170,17 @@ Clause = tuple[Literal, ...]
 Interpretation = Mapping[int, Fraction]
 
 
+class ClauseError(ValueError):
+    """Clause ``index`` of a formula breaks a clause rule; ``reason`` says which."""
+
+    def __init__(self, index: int, reason: str):
+        super().__init__(index, reason)  # both in args, so the error pickles
+        self.index, self.reason = index, reason
+
+    def __str__(self):
+        return f"clause {self.index}: {self.reason}"
+
+
 @dataclass(frozen=True)
 class Formula:
     """A regular signed k-SAT formula: conjunction of m width-k clauses.
@@ -193,16 +204,16 @@ class Formula:
         grid = vspec_grid(self.vspec)
         for ci, clause in enumerate(self.clauses):
             if len(clause) != self.k:
-                raise ValueError(f"clause {ci} has {len(clause)} literals, expected {self.k}")
+                raise ClauseError(ci, f"width {len(clause)}, expected k = {self.k}")
             seen = set()
             for lit in clause:
                 if not (1 <= lit.var <= self.n):
-                    raise ValueError(f"clause {ci}: variable x{lit.var} outside 1..{self.n}")
+                    raise ClauseError(ci, f"variable x{lit.var} outside 1..{self.n}")
                 if not on_grid(grid, lit.bound):
-                    raise ValueError(f"clause {ci}: bound {lit.bound} not in V of {self.vspec}")
+                    raise ClauseError(ci, f"bound {lit.bound} not in V of {self.vspec}")
                 if self.distinct_vars_per_clause:
                     if lit.var in seen:
-                        raise ValueError(f"clause {ci}: repeated variable x{lit.var}")
+                        raise ClauseError(ci, f"repeated variable x{lit.var}")
                     seen.add(lit.var)
 
     @property

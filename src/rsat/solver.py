@@ -328,13 +328,17 @@ def _implication_succ(c: CompiledFormula, nodes: list[int]) -> list[list[int]]:
     return succ
 
 
-def literal_components(c: CompiledFormula) -> tuple[list[int], list[int]]:
-    """Node of every slot (-1 where none) and the component of every node.
-
-    Components are numbered sinks-first.  ``c`` must have width 2.
+def literal_components(c: CompiledFormula) -> tuple[list[int], list[int], bool]:
+    """Node of every slot (-1 where none), the component of every node, and
+    whether some node shares a component with its complement, which refutes
+    ``c``.  Components are numbered sinks-first.  A width other than 2 is a
+    WrongArity.
     """
+    if c.k != 2:
+        raise WrongArity(f"the implication digraph requires k = 2, got k = {c.k}")
     nodes = _literal_nodes(c)
-    return nodes, _tarjan(_implication_succ(c, nodes))
+    comp = _tarjan(_implication_succ(c, nodes))
+    return nodes, comp, any(map(eq, comp[0::2], comp[1::2]))
 
 
 def build_implication_digraph(f: Formula, domains=None) -> ImplicationDigraph:
@@ -403,11 +407,9 @@ def solve_2rsat_scc(f: Formula | CompiledFormula) -> SolveResult:
     its smallest candidate d_r with ``x <= d_r`` true (its largest when
     none is).
     """
-    if f.k != 2:
-        raise WrongArity(f"solve_2rsat_scc requires k = 2, got k = {f.k}")
     c = f if isinstance(f, CompiledFormula) else compile_formula(f)
-    _, comp = literal_components(c)
-    if any(map(eq, comp[0::2], comp[1::2])):
+    _, comp, refuted = literal_components(c)
+    if refuted:
         return _result(c, None)
     start = c.start
     wit = [0] * (c.n + 1)

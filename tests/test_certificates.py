@@ -19,6 +19,7 @@ from rsat import (
     Rel,
     Snake,
     WrongArity,
+    build_implication_digraph,
     find_bicycle,
     find_snake,
     sample_formula,
@@ -240,6 +241,25 @@ def test_verify_snake_errors():
         verify_snake(f, Snake(cert.pairs, (0, 1, 2, 3, 4, 5, 42)))
     with pytest.raises(WrongArity):
         verify_snake(sample_formula(GenConfig(k=3, n=6, m=3, seed=0)), cert)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        solve_2rsat_scc,
+        build_implication_digraph,
+        find_bicycle,
+        find_snake,
+        lambda f: verify_bicycle(f, handmade_bicycle()[1]),
+        lambda f: verify_snake(f, planted_snake(6)[1]),
+    ],
+    ids=["solve_2rsat_scc", "build_implication_digraph", "find_bicycle", "find_snake",
+         "verify_bicycle", "verify_snake"],
+)
+def test_width_two_entry_points_reject_width_three(entry):
+    f = sample_formula(GenConfig(k=3, n=6, m=3, seed=0))  # m < 7: find_snake's small-m shortcut
+    with pytest.raises(WrongArity, match="k = 2"):
+        entry(f)
 
 
 def test_find_snake_on_planted_instances():

@@ -252,6 +252,26 @@ def test_moments_output(capsys):
     assert "mc_mean" in out
 
 
+@pytest.mark.parametrize(
+    "argv, err_start, message",
+    [
+        (("--n", "4", "--d", "1,1"), "usage error:", "need one exponent per variable"),
+        (("--n", "2", "--d", "1,-1"), "usage error:", "exponents must be nonnegative"),
+        (("--n", "2", "--d", "1,x"), "usage error:", "bad --d list '1,x'"),
+        (("--n", "1", "--m", "1000", "--d", "400"), "error:", "outside the double range"),
+        # the exact moment fits a double; the Monte Carlo variance does not
+        (("--n", "2", "--m", "100", "--d", "100,0", "--mc", "20"), "error:", "double range"),
+    ],
+)
+def test_moments_rejections_are_one_line(capsys, argv, err_start, message):
+    options = {"--n": "2", "--m": "2", "--k": "2"}
+    options.update(zip(argv[::2], argv[1::2]))
+    code, out, err = run(capsys, "moments", *(x for kv in options.items() for x in kv))
+    assert code == 1 and out == ""
+    assert err.startswith(err_start) and message in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_solve_prints_unsat_alone(capsys, tmp_path):
     path = tmp_path / "unit.rsat"
     path.write_text("p rsat 2 1 2 continuous\n1:le:3/10 1:le:3/10\n1:ge:7/10 1:ge:7/10\n")

@@ -1,3 +1,5 @@
+import cProfile
+import pstats
 from fractions import Fraction as F
 
 import pytest
@@ -111,6 +113,8 @@ def _base_text():
         (lambda t: t.replace("p rsat 2 2 2", "p rsat 02 2 2"), 1),
         (lambda t: t.replace("p rsat 2 2 2", "p rsat 2 2 \u0662"), 1),
         (lambda t: t.replace("continuous", "finite:+3"), 1),
+        # a bad clause is reported ahead of a wrong clause count
+        (lambda t: t.replace("p rsat 2 2 2", "p rsat 2 2 5").replace("1:ge:3/4", "3:ge:3/4"), 3),
     ],
 )
 def test_parse_rejections_carry_line_numbers(mutation, line):
@@ -133,6 +137,9 @@ def test_parse_header_errors():
     [
         ("c x\np rsat 1 2 0 continuous\n", "clause width k must be >= 2, got 1"),
         ("c x\np rsat 2 -1 0 continuous\n", "variable count must be >= 0, got -1"),
+        # the header's k, not the clause after it, is at fault
+        ("c x\np rsat 1 2 1 continuous\n1:le:1/2 2:ge:1/2\n", "clause width k must be >= 2, got 1"),
+        ("c x\np rsat 0 2 1 continuous\n1:le:1/2 2:ge:1/2\n", "clause width k must be >= 2, got 0"),
     ],
 )
 def test_header_value_errors_carry_header_line(text, message):
@@ -148,6 +155,14 @@ def test_parse_bound_outside_v():
         parse_formula(text)
     assert err.value.line == 3
     assert "line 3" in str(err.value) and "bound 1/3 not in V of Finite(v=3)" in str(err.value)
+
+
+def test_parse_checks_each_bound_once():
+    f = sample_formula(GenConfig(k=3, n=9, m=15, vspec=Finite(5), seed=7))
+    profile = cProfile.Profile()
+    assert profile.runcall(parse_formula, render_formula(f)) == f
+    stats = pstats.Stats(profile).stats  # (file, line, name) -> (cc, ncalls, ...)
+    assert sum(s[1] for key, s in stats.items() if key[2] == "on_grid") == f.k * f.m
 
 
 # ---------------------------------------------------------------------------

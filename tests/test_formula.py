@@ -8,6 +8,7 @@ import rsat
 from oracles import fraction_literal_error, fraction_vspec_contains
 from rsat import (
     CONTINUOUS,
+    ClauseError,
     Dyadic,
     Finite,
     Formula,
@@ -170,6 +171,24 @@ def test_formula_validation():
         Formula(2, 2, ((le(1, 1, 3), ge(2, 1, 2)),), Finite(3))
     with pytest.raises(ValueError):  # repeated variable under the distinct flag
         Formula(2, 2, ((le(1, 1, 2), ge(1, 1, 2)),), CONTINUOUS, True)
+
+
+@pytest.mark.parametrize(
+    "bad, vspec, distinct, reason",
+    [
+        ((le(1, 1, 2),), CONTINUOUS, False, "width 1, expected k = 2"),
+        ((le(3, 1, 2), ge(2, 1, 2)), CONTINUOUS, False, "variable x3 outside 1..2"),
+        ((le(1, 1, 3), ge(2, 1, 2)), Finite(3), False, "bound 1/3 not in V of Finite(v=3)"),
+        ((le(2, 1, 2), ge(2, 1, 2)), CONTINUOUS, True, "repeated variable x2"),
+    ],
+)
+def test_formula_names_the_clause_that_breaks_a_rule(bad, vspec, distinct, reason):
+    good = (le(1, 1, 2), ge(2, 1, 2))
+    with pytest.raises(ClauseError) as err:
+        Formula(2, 2, (good, bad, good), vspec, distinct)
+    assert (err.value.index, err.value.reason) == (1, reason)
+    assert str(err.value) == f"clause 1: {reason}"
+    assert isinstance(err.value, ValueError)
 
 
 def test_distinct_flag_not_part_of_equality():

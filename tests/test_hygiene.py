@@ -1,8 +1,10 @@
-"""Import hygiene: every module of the package, the tests and the scripts
-uses every name it imports.
+"""Hygiene: every module of the package, the tests and the scripts uses
+every name it imports, and every module of the package reads every private
+name it defines at top level.
 
-A stdlib-only stand-in for a linter's unused-import rule.  The package's
-``__init__.py`` is left out because its imports are the package's exports.
+A stdlib-only stand-in for a linter's unused-import and dead-code rules.
+The package's ``__init__.py`` is left out of the import scan because its
+imports are the package's exports.
 """
 
 import ast
@@ -32,6 +34,25 @@ def unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
 
 
+def unused_private_names(source: str) -> list[str]:
+    """Top-level private names (``_x``, not dunders) that the module never reads."""
+    tree = ast.parse(source)
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                defined[name] = node.lineno
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return [f"line {line}: {name}" for name, line in defined.items() if name not in read]
+
+
 def test_scan_finds_an_unused_import():
     assert unused_imports("import math\nfrom typing import Optional\nx: Optional[int]\n") == [
         "line 1: math"
@@ -42,3 +63,19 @@ def test_scan_finds_an_unused_import():
     "path", MODULES, ids=lambda p: p.name if p.parent == PACKAGE else f"{p.parent.name}/{p.name}")
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_scan_finds_an_unused_private_helper():
+    source = (
+        "_LIMIT = 3\n_a, _b = 1, 2\n__all__ = []\n"
+        "def _unused():\n    return _LIMIT + _a\n"
+        "def _used():\n    return 1\n"
+        "class _Dead:\n    pass\n"
+        "def public():\n    return _used()\n"
+    )
+    assert unused_private_names(source) == ["line 2: _b", "line 4: _unused", "line 8: _Dead"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_reads_every_private_name(path):
+    assert unused_private_names(path.read_text(encoding="utf-8")) == []
