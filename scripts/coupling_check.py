@@ -55,9 +55,9 @@ def main() -> int:
         low = sample_formula(
             GenConfig(k=2, n=args.n, m=m, vspec=Finite(v), seed=stream_seed(args.seed, i))
         )
-        pair = couple_increase_v(low, seed=stream_seed(args.seed + 1, i))
-        low_sat = solve_2rsat_scc(pair.low).sat
-        high_sat = solve_2rsat_scc(pair.high).sat
+        high = couple_increase_v(low, seed=stream_seed(args.seed + 1, i))
+        low_sat = solve_2rsat_scc(low).sat
+        high_sat = solve_2rsat_scc(high).sat
         sat_lows += low_sat
         counts = per_v.setdefault(v, [0, 0])
         if high_sat and not low_sat:

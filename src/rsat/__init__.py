@@ -53,7 +53,6 @@ from .formula import (
     Interpretation,
     Literal,
     Rel,
-    Threshold,
     TruthValueSpec,
     eval_formula,
     eval_literal,
@@ -65,7 +64,6 @@ from .formula import (
 )
 from .rng import Stream, mix64, stream_seed
 from .sampler import (
-    CoupledPair,
     GenConfig,
     couple_increase_v,
     min_safe_lambda,

@@ -31,7 +31,7 @@ from .fileformat import (
     render_formula,
     vspec_from_token,
 )
-from .formula import Formula
+from .formula import Formula, TruthValueSpec
 from .rng import Stream
 from .sampler import GenConfig, sample_formula
 from .solver import DEFAULT_NODE_BUDGET, solve_2rsat_scc, solve_complete
@@ -52,6 +52,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _vspec_arg(token: str) -> TruthValueSpec:
+    try:
+        return vspec_from_token(token)
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="rsat", description="regular signed k-SAT toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -60,7 +67,8 @@ def _build_parser() -> _Parser:
     p_gen.add_argument("--k", type=int, required=True)
     p_gen.add_argument("--n", type=int, required=True)
     p_gen.add_argument("--m", type=int, required=True)
-    p_gen.add_argument("--v", default="continuous", help="finite:<v> | dyadic:<lam> | continuous")
+    p_gen.add_argument("--v", type=_vspec_arg, default="continuous",
+                       help="finite:<v> | dyadic:<lam> | continuous")
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--distinct", action="store_true", help="distinct variables per clause")
     p_gen.add_argument(
@@ -77,11 +85,15 @@ def _build_parser() -> _Parser:
     p_cert = sub.add_parser("cert", help="find or verify certificates")
     cert_sub = p_cert.add_subparsers(dest="cert_command", required=True)
     p_find = cert_sub.add_parser("find", help="search for a certificate")
-    p_find.add_argument("kind", choices=("bicycle", "snake"))
-    p_find.add_argument("file", nargs="?", default=None)
-    p_find.add_argument("--stdin", action="store_true")
-    p_find.add_argument("--budget", type=int, default=None, help="snake search steps")
-    p_find.add_argument("--out", default=None)
+    find_sub = p_find.add_subparsers(dest="kind", required=True)
+    kinds = {kind: find_sub.add_parser(kind, help=f"search for a {kind}")
+             for kind in ("bicycle", "snake")}
+    for p_kind in kinds.values():
+        p_kind.add_argument("file", nargs="?", default=None)
+        p_kind.add_argument("--stdin", action="store_true")
+        p_kind.add_argument("--out", default=None)
+    kinds["snake"].add_argument("--budget", type=int, default=DEFAULT_FIND_BUDGET,
+                                help="search steps")
     p_verify = cert_sub.add_parser("verify", help="check a certificate against a formula")
     p_verify.add_argument("file", nargs="?", default=None)
     p_verify.add_argument("--stdin", action="store_true")
@@ -89,7 +101,8 @@ def _build_parser() -> _Parser:
 
     p_sweep = sub.add_parser("sweep", help="Monte Carlo satisfiability sweep, CSV output")
     p_sweep.add_argument("--k", type=int, required=True)
-    p_sweep.add_argument("--v", action="append", required=True, help="repeatable vspec token")
+    p_sweep.add_argument("--v", action="append", type=_vspec_arg, required=True,
+                         help="repeatable vspec token")
     p_sweep.add_argument("--n", action="append", type=int, required=True)
     p_sweep.add_argument("--c", action="append", required=True, help="repeatable ratio, e.g. 3/2")
     p_sweep.add_argument("--trials", type=int, required=True)
@@ -139,7 +152,7 @@ def _cmd_gen(args) -> int:
         k=args.k,
         n=args.n,
         m=args.m,
-        vspec=vspec_from_token(args.v),
+        vspec=args.v,
         distinct_vars_per_clause=args.distinct,
         seed=args.seed,
         distinct_thresholds=args.distinct_thresholds,
@@ -167,13 +180,8 @@ def _cmd_solve(args) -> int:
 
 def _cmd_cert(args) -> int:
     if args.cert_command == "find":
-        if args.kind == "bicycle" and args.budget is not None:
-            raise _UsageError("--budget applies to snake searches only")
         f = _read_formula(args)
-        if args.kind == "bicycle":
-            outcome = find_bicycle(f)
-        else:
-            outcome = find_snake(f, DEFAULT_FIND_BUDGET if args.budget is None else args.budget)
+        outcome = find_bicycle(f) if args.kind == "bicycle" else find_snake(f, args.budget)
         if outcome is None:
             print("NONE")
             return EXIT_OK
@@ -201,7 +209,7 @@ def _cmd_sweep(args) -> int:
         raise _UsageError(f"bad ratio in --c: {exc}") from None
     cfg = SweepConfig(
         k=args.k,
-        vspecs=tuple(vspec_from_token(tok) for tok in args.v),
+        vspecs=tuple(args.v),
         n_values=tuple(args.n),
         c_grid=c_grid,
         trials=args.trials,

@@ -34,8 +34,6 @@ from typing import Mapping, Optional, Union
 
 from .errors import MissingAssignment
 
-Threshold = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 

@@ -13,15 +13,17 @@ denominator D (:func:`slot_denominator`).  A ``<=`` slot stores bound
 ``a`` directly; a ``>=`` slot stores bound ``1 - a`` (uniform over
 ``V \\ {0}``), so no innocuous literal is ever produced.
 
-Two couplings relate formulas over different value sets.  The bump kernel
-(:func:`couple_increase_v`) keeps the uniform marginals but is not
-pointwise monotone: it tightens some literals.  Only the dyadic ladder
+Two couplings relate formulas over different value sets.  Each is an
+integer map of one slot's encoded side, applied in slot order by one loop
+(:func:`_map_sides`) that hands the slots to the samplers' builder.  The
+bump kernel (:func:`couple_increase_v`) keeps the uniform marginals but is
+not pointwise monotone: it tightens some literals.  Only the dyadic ladder
 (:func:`truncate_thresholds` at increasing depth) is monotone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -122,11 +124,14 @@ def draw_slots(cfg: GenConfig) -> tuple[int, list[int], list[int], list[int]]:
     return _draw_slots(cfg, Stream(cfg.seed), None)
 
 
-def _formula(cfg: GenConfig, denominator: int, var, ge, num) -> Formula:
+def _formula(shape: GenConfig | Formula, denominator: int, var, ge, num) -> Formula:
+    """The one Literal builder: slot i is x_var[i] >= num[i]/D when ge[i], else
+    <=; k, n, V and the clause model come from ``shape``."""
     lits = [Literal(j, Rel.GE if e else Rel.LE, Fraction(b, denominator))
             for j, e, b in zip(var, ge, num)]
-    clauses = tuple(tuple(lits[i : i + cfg.k]) for i in range(0, len(lits), cfg.k))
-    return Formula(cfg.k, cfg.n, clauses, cfg.vspec, cfg.distinct_vars_per_clause)
+    k = shape.k
+    clauses = tuple(tuple(lits[i : i + k]) for i in range(0, len(lits), k))
+    return Formula(k, shape.n, clauses, shape.vspec, shape.distinct_vars_per_clause)
 
 
 def sample_formula(cfg: GenConfig) -> Formula:
@@ -134,9 +139,7 @@ def sample_formula(cfg: GenConfig) -> Formula:
     return _formula(cfg, *draw_slots(cfg))
 
 
-def sample_formula_given_profile(
-    cfg: GenConfig, profile: OccurrenceProfile, seed: Optional[int] = None
-) -> Formula:
+def sample_formula_given_profile(cfg: GenConfig, profile: OccurrenceProfile) -> Formula:
     """Draw a formula conditioned on the occurrence profile.
 
     Variable copies (R_j copies of x_j) are matched to the k*m slots by a
@@ -152,7 +155,7 @@ def sample_formula_given_profile(
     if any(r < 0 for r in profile) or sum(profile) != km:
         raise ProfileMismatch(f"profile must be nonnegative and sum to k*m = {km}")
 
-    stream = Stream(cfg.seed if seed is None else seed)
+    stream = Stream(cfg.seed)
     copies = [j + 1 for j, r in enumerate(profile) for _ in range(r)]
     for i in range(km - 1, 0, -1):  # Fisher-Yates: uniform matching of copies to slots
         j = stream.below(i + 1)
@@ -164,48 +167,46 @@ def sample_formula_given_profile(
 # Value-set couplings
 
 
-@dataclass(frozen=True)
-class CoupledPair:
-    """Same-shape formulas over adjacent truth-value sets.
+def _map_sides(f: Formula, vspec: TruthValueSpec, side) -> Formula:
+    """``f`` over ``vspec`` with each encoded side p/q replaced by side(p, q)/D,
+    D = slot_denominator(vspec); ``side`` is called once per slot, in slot
+    order.  Variables and relations stay."""
+    denominator = slot_denominator(vspec)
+    var, ge, num = [], [], []
+    for clause in f.clauses:
+        for lit in clause:
+            p, q = lit.bound.numerator, lit.bound.denominator
+            e = lit.rel is Rel.GE
+            a = side(q - p if e else p, q)
+            var.append(lit.var)
+            ge.append(e)
+            num.append(denominator - a if e else a)
+    return _formula(replace(f, clauses=(), vspec=vspec), denominator, var, ge, num)
 
-    ``high`` differs from ``low`` only in thresholds: each encoded side of
-    ``low`` was rescaled from u/(v-1) to u/v and then bumped to (u+1)/v
-    with probability (u+1)/v.  This preserves the uniform marginal on the
-    larger set, but it is not pointwise monotone.  A bumped slot weakens,
-    since (u+1)/v > u/(v-1).  An unbumped slot with u >= 1 tightens, since
-    u/v < u/(v-1), for ``<=`` and ``>=`` literals alike.  No coupling of
-    these marginals can avoid that for v >= 3: the high side reaches
-    (v-2)/(v-1) or more with probability 1/v, the low side with 1/(v-1).
-    """
 
-    low: Formula
-    high: Formula
+def couple_increase_v(f: Formula, seed: int) -> Formula:
+    """The Finite(v+1) image of a Finite(v) formula under one bump step.
 
-
-def couple_increase_v(f: Formula, seed: int) -> CoupledPair:
-    """Couple a Finite(v) formula with a Finite(v+1) copy (one bump step).
-
-    Both sides are uniform samples, but ``high`` may be unsatisfiable where
-    ``low`` is satisfiable; see :class:`CoupledPair`.
+    Each encoded side u/(v-1) is rescaled to u/v and bumped to (u+1)/v with
+    probability (u+1)/v, one ``Stream(seed)`` draw per slot.  This preserves
+    the uniform marginal on the larger set, but it is not pointwise
+    monotone, so the image may be unsatisfiable where ``f`` is satisfiable.
+    A bumped slot weakens, since (u+1)/v > u/(v-1).  An unbumped slot with
+    u >= 1 tightens, since u/v < u/(v-1), for ``<=`` and ``>=`` literals
+    alike.  No coupling of these marginals can avoid that for v >= 3: the
+    image's side reaches (v-2)/(v-1) or more with probability 1/v, the
+    original's with 1/(v-1).
     """
     if not isinstance(f.vspec, Finite):
         raise WrongVspec(f"couple_increase_v needs a Finite formula, got {f.vspec}")
     v = f.vspec.v
     below_v = Stream(seed).below_fn(v)
-    clauses = []
-    for clause in f.clauses:
-        lits = []
-        for lit in clause:
-            num, den = lit.bound.numerator, lit.bound.denominator
-            le = lit.rel is Rel.LE
-            # encoded side is u/(v-1), u in 0..v-2; den divides v-1
-            u = (num if le else den - num) * (v - 1) // den
-            if below_v() < u + 1:
-                u += 1
-            lits.append(Literal(lit.var, lit.rel, Fraction(u if le else v - u, v)))
-        clauses.append(tuple(lits))
-    high = Formula(f.k, f.n, tuple(clauses), Finite(v + 1), f.distinct_vars_per_clause)
-    return CoupledPair(low=f, high=high)
+
+    def bump(p: int, q: int) -> int:
+        u = p * (v - 1) // q  # q divides v - 1
+        return u + 1 if below_v() <= u else u
+
+    return _map_sides(f, Finite(v + 1), bump)
 
 
 def truncate_thresholds(f: Formula, lam: int) -> Formula:
@@ -218,16 +219,7 @@ def truncate_thresholds(f: Formula, lam: int) -> Formula:
     if lam < 0:
         raise ValueError(f"lam must be >= 0, got {lam}")
     scale = 1 << lam
-    clauses = []
-    for clause in f.clauses:
-        lits = []
-        for lit in clause:
-            a = lit.encoded_rhs()
-            a_t = Fraction((a.numerator * scale) // a.denominator, scale)
-            bound = a_t if lit.rel is Rel.LE else ONE - a_t
-            lits.append(Literal(lit.var, lit.rel, bound))
-        clauses.append(tuple(lits))
-    return Formula(f.k, f.n, tuple(clauses), Dyadic(lam), f.distinct_vars_per_clause)
+    return _map_sides(f, Dyadic(lam), lambda p, q: p * scale // q)
 
 
 def _common_prefix_bits(x: Fraction, y: Fraction) -> int:

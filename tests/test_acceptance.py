@@ -240,19 +240,19 @@ def test_c05_value_set_monotonicity_coupling():
         low = sample_formula(
             GenConfig(k=2, n=300, m=450, vspec=Finite(v), seed=505_000 + i)
         )
-        pair = couple_increase_v(low, seed=909_000 + i)
-        low_result = solve_2rsat_scc(pair.low)
-        high_sat = solve_2rsat_scc(pair.high).sat
+        high = couple_increase_v(low, seed=909_000 + i)
+        low_result = solve_2rsat_scc(low)
+        high_sat = solve_2rsat_scc(high).sat
         sat_lows += low_result.sat
         if high_sat and not low_result.sat:
             per_v[v][0] += 1
         elif low_result.sat and not high_sat:
             per_v[v][1] += 1
-            unexplained += _clauses_without_tightened_slot(pair, low_result.witness)
+            unexplained += _clauses_without_tightened_slot(low, high, low_result.witness)
 
     draws = 50_000
     f3 = sample_formula(GenConfig(k=2, n=1, m=draws, vspec=Finite(3), seed=506_000))
-    high = couple_increase_v(f3, seed=507_000).high
+    high = couple_increase_v(f3, seed=507_000)
     sides = [lit.encoded_rhs() for cl in high.clauses for lit in cl]
     marginal_ok = all(
         abs(sum(s == target for s in sides) / len(sides) - 1 / 3)
@@ -283,11 +283,11 @@ def test_c05_value_set_monotonicity_coupling():
     )
 
 
-def _clauses_without_tightened_slot(pair, witness) -> int:
-    """Clauses of ``pair.high`` that the low witness falsifies although the
+def _clauses_without_tightened_slot(low, high, witness) -> int:
+    """Clauses of ``high`` that the witness of ``low`` falsifies although the
     kernel tightened none of their slots; each one is a kernel defect."""
     unexplained = 0
-    for low_cl, high_cl in zip(pair.low.clauses, pair.high.clauses):
+    for low_cl, high_cl in zip(low.clauses, high.clauses):
         if any(rsat.eval_literal(lit, witness[lit.var]) for lit in high_cl):
             continue
         # a smaller encoded side is a tighter literal, for <= and >= alike

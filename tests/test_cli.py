@@ -112,6 +112,20 @@ def test_cert_find_bicycle_rejects_budget(capsys, tmp_path):
     assert out == "" and "--budget" in err
 
 
+@pytest.mark.parametrize("options_first", [True, False])
+def test_cert_find_options_on_either_side_of_the_file(capsys, tmp_path, options_first):
+    path = tmp_path / "ring.rsat"
+    path.write_text(rsat.render_formula(ring_formula(40)))
+    cert_path = tmp_path / "p.cert"
+    for kind, options in (("bicycle", ["--out", str(cert_path)]),
+                          ("snake", ["--budget", "50000"])):
+        argv = [*options, str(path)] if options_first else [str(path), *options]
+        code, out, err = run(capsys, "cert", "find", kind, *argv)
+        assert code == 0 and err == ""
+        assert out == ("" if kind == "bicycle" else "NONE\n")
+    assert cert_path.read_text().startswith("cert bicycle")
+
+
 def test_cert_find_bicycle_on_long_ring(capsys, tmp_path):
     formula_path = tmp_path / "ring.rsat"
     formula_path.write_text(rsat.render_formula(ring_formula(1500)))
@@ -137,6 +151,16 @@ def test_cert_find_none_on_tiny_formula(capsys, tmp_path):
     path.write_text(out)
     code, out, _ = run(capsys, "cert", "find", "snake", str(path))
     assert code == 0 and out.strip() == "NONE"
+
+
+@pytest.mark.parametrize("argv", [
+    ("gen", "--k", "2", "--n", "4", "--m", "2", "--v", "finite:1"),
+    ("sweep", "--k", "2", "--v", "bogus", "--n", "20", "--c", "1", "--trials", "2"),
+])
+def test_bad_vspec_token_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("usage error: argument --v: ") and err.count("\n") == 1
 
 
 def test_sweep_csv_stdout(capsys):

@@ -1,6 +1,7 @@
 """Hygiene: every module of the package, the tests and the scripts uses
-every name it imports, and every module of the package reads every private
-name it defines at top level.
+every name it imports, every module of the package reads every private
+name it defines at top level, and every name the package exports is read
+somewhere in the source, the tests, the scripts or the benchmark.
 
 A stdlib-only stand-in for a linter's unused-import and dead-code rules.
 The package's ``__init__.py`` is left out of the import scan because its
@@ -18,6 +19,8 @@ PACKAGE = Path(rsat.__file__).parent
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 MODULES += sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+READERS = [p for tree in ("src", "tests", "scripts", "bench")
+           for p in sorted((ROOT / tree).rglob("*.py")) if p != PACKAGE / "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -79,3 +82,35 @@ def test_scan_finds_an_unused_private_helper():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_module_reads_every_private_name(path):
     assert unused_private_names(path.read_text(encoding="utf-8")) == []
+
+
+def names_read(source: str) -> set[str]:
+    """Names the source reads, bare or as an attribute, outside the function
+    or class that defines them."""
+    read = set()
+
+    def visit(node, defining):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defining = defining | {node.name}
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+            name = node.id if isinstance(node, ast.Name) else node.attr
+            if name not in defining:
+                read.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, defining)
+
+    visit(ast.parse(source), frozenset())
+    return read
+
+
+def test_scan_finds_an_unread_name():
+    source = "import rsat\nA = B\ndef f():\n    return f()\nclass C:\n    me = C\nrsat.g(A)\n"
+    assert names_read(source) == {"B", "rsat", "g", "A"}
+
+
+def test_every_export_is_read():
+    init = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    exported = [alias.asname or alias.name for node in init.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    read = set().union(*(names_read(p.read_text(encoding="utf-8")) for p in READERS))
+    assert [name for name in exported if name not in read] == []

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 from fractions import Fraction as F
 
@@ -143,11 +144,10 @@ def test_couple_requires_finite():
 def test_couple_shape_and_step():
     v = 4
     f = sample_formula(GenConfig(k=2, n=6, m=25, vspec=Finite(v), seed=41))
-    pair = couple_increase_v(f, seed=42)
-    assert pair.low is f
-    assert pair.high.vspec == Finite(v + 1)
-    assert pair.high.m == f.m and pair.high.n == f.n
-    for low_cl, high_cl in zip(f.clauses, pair.high.clauses):
+    high = couple_increase_v(f, seed=42)
+    assert high.vspec == Finite(v + 1)
+    assert high.m == f.m and high.n == f.n
+    for low_cl, high_cl in zip(f.clauses, high.clauses):
         for low_lit, high_lit in zip(low_cl, high_cl):
             assert low_lit.var == high_lit.var
             assert low_lit.rel is high_lit.rel
@@ -158,8 +158,8 @@ def test_couple_shape_and_step():
 def test_couple_marginal_uniform_v2():
     # single step from v=2: encoded side 0 bumps to 1/2 with probability 1/2
     f = sample_formula(GenConfig(k=2, n=1, m=20_000, vspec=Finite(2), seed=43))
-    pair = couple_increase_v(f, seed=44)
-    sides = [lit.encoded_rhs() for cl in pair.high.clauses for lit in cl]
+    high = couple_increase_v(f, seed=44)
+    sides = [lit.encoded_rhs() for cl in high.clauses for lit in cl]
     frac_half = sum(s == F(1, 2) for s in sides) / len(sides)
     assert abs(frac_half - 0.5) < three_sigma(0.5, len(sides))
 
@@ -167,8 +167,8 @@ def test_couple_marginal_uniform_v2():
 def test_couple_marginal_uniform_two_steps():
     # v=2 -> v=3 -> v=4: after two steps the sides are uniform on {0, 1/3, 2/3}
     f = sample_formula(GenConfig(k=2, n=1, m=50_000, vspec=Finite(2), seed=45))
-    mid = couple_increase_v(f, seed=46).high
-    high = couple_increase_v(mid, seed=47).high
+    mid = couple_increase_v(f, seed=46)
+    high = couple_increase_v(mid, seed=47)
     sides = [lit.encoded_rhs() for cl in high.clauses for lit in cl]
     total = len(sides)
     for target in (F(0), F(1, 3), F(2, 3)):
@@ -207,10 +207,10 @@ def test_couple_law_uniform_but_not_dominating(v):
 @pytest.mark.parametrize("v", range(2, 17))
 def test_couple_bumped_slots_weaken_unbumped_slots_tighten(v):
     f = sample_formula(GenConfig(k=2, n=3, m=400, vspec=Finite(v), seed=48 + v))
-    pair = couple_increase_v(f, seed=49 + v)
+    high = couple_increase_v(f, seed=49 + v)
     weakened = 0
     tightened = {Rel.LE: 0, Rel.GE: 0}
-    for low_cl, high_cl in zip(f.clauses, pair.high.clauses):
+    for low_cl, high_cl in zip(f.clauses, high.clauses):
         for low_lit, high_lit in zip(low_cl, high_cl):
             a, b = low_lit.encoded_rhs(), high_lit.encoded_rhs()
             u = int(a * (v - 1))
@@ -394,6 +394,62 @@ def test_sample_formula_pinned(token, distinct_vars, digest):
 
 
 @pytest.mark.parametrize(
+    "v, distinct_vars, digest",
+    [
+        (2, False, "f30e818bd86e6ea341224b97b13808272bf124dbc0cb2b0eb0337a74f60c2dea"),
+        (3, False, "27db936e5136f26b1cc29b098b432c9e3ff8ea26f2abe0613d1f66f57d973ee4"),
+        (4, False, "7aaf667a2e4d23678002f0423962fcf0c8c8d504dcecfbcadacb9930e1eb0cae"),
+        (5, False, "cd72ce33b29eebe401b26d3c1d11cc661dcfd213214c0d5ea2fe41b453c905e8"),
+        (6, False, "7543ea252cfc9254c07e0b50c0372e482720b47ac41a066a1a8c43e60f3dfc51"),
+        (7, False, "aec6e083372356a688e632388fcd6e35b213b42c2e2a7791c5befc438f3e8909"),
+        (8, False, "070cd5f00109eca132d1338df755dd3d9d732c5c2f2a7c6488cdd076b35040b8"),
+        (2, True, "2dbd01a0c677061f1f547913e0d220f606a84aa131013a693fc24012a24e296f"),
+        (3, True, "01b847e35d62ff6b8282209cdfb0f275ca8db94e9758ec947ea7183f60ae4277"),
+        (4, True, "a2537d871f8d281d3a06c33c2ab91fad654c91dcb35b9cc5533f768291fa09ee"),
+        (5, True, "9933b2218bc43024a500f1ae1d181b260bedd2afba9ed616d135e673b24b2ba9"),
+        (6, True, "859d0679b37f6c8a5784f972f9bb99fb9f47aadfd7470d35f758f029316f4f27"),
+        (7, True, "4d45079b63cbb9ff23bf96bd87bb75ec6d9e798829d7f0e891466b94cdf7e5a5"),
+        (8, True, "44f6f2fc426baed37877831fc1ff4c2a10c6d33c9bf521792bb5e3febb884a07"),
+    ],
+)
+def test_couple_increase_v_pinned(v, distinct_vars, digest):
+    # recorded while each coupling still had its own Fraction clause loop
+    cfg = GenConfig(
+        k=3 if distinct_vars else 2, n=30, m=70, vspec=Finite(v),
+        distinct_vars_per_clause=distinct_vars, seed=4242,
+    )
+    assert _digest(couple_increase_v(sample_formula(cfg), seed=4343)) == digest
+
+
+@pytest.mark.parametrize(
+    "token, lam, digest",
+    [
+        ("continuous", 0, "2f2c3016416b4c6424290f5a40c3f28d68c6cac83edff1b1ee90b20bbbab0b27"),
+        ("continuous", 1, "5b8924ce4e8470049dcff916d43f13e196753511d27b11940fadf6fbf041d78b"),
+        ("continuous", 3, "ea3744a8e5f79c0d14705449562f9529313e20af0951a8d165209d670defad96"),
+        ("continuous", 8, "5c29dfcb2c4dd7bee0513382e7f2d399cee8234a801d91808cb5f1c0f5398588"),
+        ("continuous", 53, "2f9a775f0ca7b289feb3dfd4285d1f56d7804f545aa3710118f0558c6114b446"),
+        ("continuous", 60, "61e9f9347f0cc4acb8a4e343af49eb9027af4b0cc86f68cef9bae150571776ee"),
+        ("dyadic:5", 0, "2f2c3016416b4c6424290f5a40c3f28d68c6cac83edff1b1ee90b20bbbab0b27"),
+        ("dyadic:5", 1, "5b8924ce4e8470049dcff916d43f13e196753511d27b11940fadf6fbf041d78b"),
+        ("dyadic:5", 3, "ea3744a8e5f79c0d14705449562f9529313e20af0951a8d165209d670defad96"),
+        ("dyadic:5", 8, "65472c211ff4c686f8343cbc36f2dcd7aa12dc3c643b46d55bace668cc538e5d"),
+        ("dyadic:5", 53, "6cbdf3b1953eb1b58f9bc6280dc3c0d7fc2ae96d3d72306e2e28846e3b2d2964"),
+        ("dyadic:5", 60, "b6c532888c786231552261a71b8064992ceb68d67588e9e3a5382657529d8612"),
+        ("finite:7", 0, "73c2b4fd7c883345695a564c125ef390cf506310da3889a4a021fecc1ec69c16"),
+        ("finite:7", 1, "446a293fde4ef79fdf82bdc3b12e00866b857a8620858746d06a975d8e7e8fab"),
+        ("finite:7", 3, "32abd357c3cf4b623f1e48cb3be3472062f695863e512a114d5cabe96cc0405f"),
+        ("finite:7", 8, "85abab40e132fee2fcd4382c1290bfda578c6e1bceb9c2eca754211a56c9c41c"),
+        ("finite:7", 53, "1472ae89b58f2439f13889983eb9ae0632de6f74c854c217074c64b71d1874f9"),
+        ("finite:7", 60, "008e0fefebd03774cb5113a645d011bab157fc0a5a0b2deb693bb1cdb529f7b9"),
+    ],
+)
+def test_truncate_thresholds_pinned(token, lam, digest):
+    cfg = GenConfig(k=2, n=30, m=70, vspec=rsat.vspec_from_token(token), seed=4242)
+    assert _digest(truncate_thresholds(sample_formula(cfg), lam)) == digest
+
+
+@pytest.mark.parametrize(
     "token, digest",
     [
         ("dyadic:6", "93ad4bd03425f526732e3d42db15af3624c65053cae3e861970f06a11b70d1ae"),
@@ -418,7 +474,9 @@ def test_distinct_thresholds_pinned(token, digest):
 )
 def test_profile_sample_pinned(token, seed, digest):
     cfg = GenConfig(k=2, n=6, m=9, vspec=rsat.vspec_from_token(token), seed=5)
-    f = sample_formula_given_profile(cfg, [5, 0, 4, 3, 2, 4], seed=seed)
+    if seed is not None:
+        cfg = dataclasses.replace(cfg, seed=seed)
+    f = sample_formula_given_profile(cfg, [5, 0, 4, 3, 2, 4])
     assert _digest(f) == digest
 
 
