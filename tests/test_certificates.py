@@ -585,3 +585,69 @@ def test_verify_snake_only_guards_returned_snakes(monkeypatch):
         assert calls == ([] if cert is None else [cert])
         snakes += cert is not None
     assert snakes == 17
+
+
+# ---------------------------------------------------------------------------
+# rejections of certificates whose clauses are in the formula
+
+
+def own_formula(pairs):
+    """The formula whose clauses are exactly ``pairs``, so membership holds."""
+    n = max(lit.var for pair in pairs for lit in pair)
+    return Formula(2, n, tuple(pairs), CONTINUOUS)
+
+
+@pytest.mark.parametrize(
+    "pairs, i0, i1",
+    [
+        # bc1: t_1 and t_3 share x1; every link and both folds hold
+        (((le(2, 9), ge(1, 6)), (le(1, 4), ge(2, 6)), (le(2, 4), ge(1, 6)), (le(1, 4), ge(2, 1))),
+         2, 2),
+        # bc2: t_1 on x1 links to f_1 on x3
+        (((le(2, 9), ge(1, 6)), (le(3, 4), ge(2, 6)), (le(2, 4), ge(1, 1))), 2, 1),
+        # bc5: t_1 = (x1 >= 0.6) and f_1 = (x1 <= 0.8) overlap
+        (((le(2, 9), ge(1, 6)), (le(1, 8), ge(2, 6)), (le(2, 4), ge(1, 1))), 2, 1),
+    ],
+    ids=["bc1", "bc2", "bc5"],
+)
+def test_verify_bicycle_rejects_one_broken_condition(pairs, i0, i1):
+    cert = Bicycle(pairs, i0, i1, tuple(range(len(pairs))))
+    assert not verify_bicycle(own_formula(pairs), cert)
+
+
+@pytest.mark.parametrize(
+    "slot, literal",
+    [
+        ((0, 1), le(7, 3)),  # variables: clause 0's trail must sit on b_1 = x1
+        ((4, 0), ge(4, 2)),  # sk1: (x4 <= 0.3) then (x4 >= 0.2) overlap
+        ((0, 0), le(3, 7)),  # sk2: the closing trail (x3 >= 0.7) meets x3 <= 0.7
+        ((2, 1), le(3, 7)),  # sk3: the middle trail meets the closing trail at 0.7
+    ],
+    ids=["variables", "sk1", "sk2", "sk3"],
+)
+def test_verify_snake_rejects_one_broken_condition(slot, literal):
+    _, cert = planted_snake(6)
+    pairs = [list(pair) for pair in cert.pairs]
+    pairs[slot[0]][slot[1]] = literal
+    pairs = tuple(map(tuple, pairs))
+    assert not verify_snake(own_formula(pairs), Snake(pairs, cert.clause_indices))
+
+
+def test_certificates_need_one_clause_index_per_pair():
+    _, bicycle = handmade_bicycle()
+    with pytest.raises(ValueError, match="bicycle of ell=2 needs 3 clause indices"):
+        Bicycle(bicycle.pairs, 2, 1, (0, 1))
+    _, snake = planted_snake(6)
+    with pytest.raises(ValueError, match="snake of ell=6 needs 7 clause indices"):
+        Snake(snake.pairs, tuple(range(6)))
+
+
+def test_finders_raise_on_a_rejected_certificate(monkeypatch):
+    unsat = sample_formula(GenConfig(k=2, n=24, m=72, seed=1, distinct_vars_per_clause=True))
+    assert not solve_2rsat_scc(unsat).sat
+    monkeypatch.setattr(rsat.certificates, "verify_bicycle", lambda f, cert: False)
+    with pytest.raises(AssertionError, match="bicycle finder produced an invalid certificate"):
+        find_bicycle(unsat)
+    monkeypatch.setattr(rsat.certificates, "verify_snake", lambda f, cert: False)
+    with pytest.raises(AssertionError, match="snake finder produced an invalid certificate"):
+        find_snake(planted_snake(6)[0])

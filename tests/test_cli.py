@@ -174,6 +174,14 @@ def test_sweep_csv_stdout(capsys):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("ratio", ["1/0", "x"])
+def test_sweep_rejects_bad_ratio(capsys, ratio):
+    code, out, err = run(capsys, "sweep", "--k", "2", "--v", "finite:2", "--n", "20",
+                         "--c", ratio, "--trials", "2")
+    assert code == 1 and out == ""
+    assert err.startswith("usage error: bad ratio in --c")
+
+
 def test_sweep_rejects_bad_thread_count(capsys, monkeypatch):
     monkeypatch.setenv("RSAT_THREADS", "abc")
     code, out, err = run(capsys, "sweep", "--k", "2", "--v", "finite:2", "--n", "20",

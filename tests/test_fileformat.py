@@ -225,6 +225,7 @@ def test_certificate_header_errors_carry_header_line():
         ("cert bicycle 1 2 1\n" + two_links, 1, "ell >= 2"),
         ("c x\ncert snake -1\n", 2, "snake needs ell >= 0, got -1"),
         ("c x\ncert snake 0_6\n", 2, "bad snake header field '0_6'"),
+        ("cert snake 0\n0 1:le:1/2\n", 2, "line 2: expected '<clause_index> <lit> <lit>'"),
     ]
     for body, line, message in cases:
         with pytest.raises(ParseError) as err:

@@ -1,7 +1,8 @@
 """Hygiene: every module of the package, the tests and the scripts uses
 every name it imports, every module of the package reads every private
-name it defines at top level, and every name the package exports is read
-somewhere in the source, the tests, the scripts or the benchmark.
+name it defines at top level, and every name the package exports or a
+package module defines publicly at top level is read somewhere in the
+source, the tests, the scripts or the benchmark.
 
 A stdlib-only stand-in for a linter's unused-import and dead-code rules.
 The package's ``__init__.py`` is left out of the import scan because its
@@ -37,21 +38,22 @@ def unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
 
 
+def top_level_names(tree: ast.Module):
+    """(name, line) of every function, class and assigned name at the top level."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for name in (n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)):
+                yield name, node.lineno
+
+
 def unused_private_names(source: str) -> list[str]:
     """Top-level private names (``_x``, not dunders) that the module never reads."""
     tree = ast.parse(source)
-    defined = {}
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            names = [node.name]
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
-        else:
-            continue
-        for name in names:
-            if name.startswith("_") and not name.startswith("__"):
-                defined[name] = node.lineno
+    defined = {name: line for name, line in top_level_names(tree)
+               if name.startswith("_") and not name.startswith("__")}
     read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
     return [f"line {line}: {name}" for name, line in defined.items() if name not in read]
 
@@ -108,9 +110,21 @@ def test_scan_finds_an_unread_name():
     assert names_read(source) == {"B", "rsat", "g", "A"}
 
 
+def read_anywhere() -> set[str]:
+    return set().union(*(names_read(p.read_text(encoding="utf-8")) for p in READERS))
+
+
 def test_every_export_is_read():
     init = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
     exported = [alias.asname or alias.name for node in init.body
                 if isinstance(node, ast.ImportFrom) for alias in node.names]
-    read = set().union(*(names_read(p.read_text(encoding="utf-8")) for p in READERS))
+    read = read_anywhere()
     assert [name for name in exported if name not in read] == []
+
+
+def test_every_public_name_is_read():
+    read = read_anywhere()
+    dead = [f"{path.name} line {line}: {name}" for path in sorted(PACKAGE.glob("*.py"))
+            for name, line in top_level_names(ast.parse(path.read_text(encoding="utf-8")))
+            if not name.startswith("_") and name not in read]
+    assert dead == []

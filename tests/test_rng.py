@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from rsat import Stream, mix64, stream_seed
 
 
@@ -39,6 +41,8 @@ def test_below_range_and_rough_uniformity():
     expected = trials / 7
     for c in counts:
         assert abs(c - expected) < 5 * expected**0.5
+    with pytest.raises(ValueError, match="requires n >= 1"):
+        Stream(0).below(0)
 
 
 def test_dyadic53_is_exact_53_bit_rational():

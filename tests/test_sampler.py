@@ -33,6 +33,10 @@ def test_invalid_config():
         GenConfig(k=2, n=1, m=1, distinct_vars_per_clause=True)
     with pytest.raises(InvalidConfig):
         GenConfig(k=1, n=5, m=1)
+    with pytest.raises(InvalidConfig, match="n must be >= 1, got 0"):
+        GenConfig(k=2, n=0, m=1)
+    with pytest.raises(InvalidConfig, match="m must be >= 0, got -1"):
+        GenConfig(k=2, n=5, m=-1)
 
 
 def test_determinism_bit_identical():
@@ -297,6 +301,8 @@ def test_min_safe_lambda_frozen_examples():
     # {0.101, 0.1011} agrees through bit 3, so 4 bits are needed
     f = _formula_from_sides([(Rel.LE, F(3, 8)), (Rel.LE, F(5, 16))])
     assert min_safe_lambda(f) == 4
+
+    assert min_safe_lambda(Formula(2, 3, (), CONTINUOUS)) == 0  # no sides to keep apart
 
 
 def test_min_safe_lambda_duplicate_sides():

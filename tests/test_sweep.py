@@ -59,6 +59,8 @@ def test_config_validation():
         small_config(decider="magic")
     with pytest.raises(InvalidConfig):
         small_config(k=3, decider="scc")
+    with pytest.raises(InvalidConfig, match="must be non-empty"):
+        small_config(vspecs=())
 
 
 @pytest.mark.parametrize("budget", [0, -1])
@@ -127,8 +129,9 @@ def test_limited_trials_are_excluded_and_reported():
     )
     (result,) = run_sweep(cfg)
     assert result.limited == 6 and result.trials == 0
-    report = render_limited_report([result])
+    report = render_limited_report([_mk("1", 0.5), result])  # the unlimited cell is left out
     lines = report.strip().split("\n")
+    assert len(lines) == 2
     assert lines[0] == "k,v,n,m,c,requested,limited,flagged"
     assert lines[1].endswith(",6,6,1")  # all six limited, cell flagged
 
@@ -161,6 +164,8 @@ def _mk(c, p):
 def test_estimate_crossing_midpoint():
     results = [_mk("9/5", 1.0), _mk("11/5", 0.0)]
     assert abs(estimate_crossing(results, 0.5) - 2.0) < 1e-12
+    results = [_mk("1", 0.5), _mk("2", 0.5)]  # both straddling cells sit on the target
+    assert estimate_crossing(results, 0.5) == 1.5
 
 
 def test_estimate_crossing_interpolates():
