@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 
 from .analytics import snake_length
 from .errors import IndexOutOfRange, OddLength, WrongArity
@@ -58,12 +59,30 @@ BUDGET_EXHAUSTED = _BudgetExhausted()
 DEFAULT_FIND_BUDGET = 2_000_000
 
 
+class _Chain:
+    """The shape both certificates share: ``pairs`` and one clause index per
+    pair, with ``ell`` at least the class's ``_least_ell``."""
+
+    _least_ell: int
+
+    def __post_init__(self):
+        kind = type(self).__name__.lower()
+        if self.ell < self._least_ell:
+            raise ValueError(f"{kind} needs ell >= {self._least_ell}, got {self.ell}")
+        if len(self.clause_indices) != len(self.pairs):
+            raise ValueError(f"{kind} of ell={self.ell} needs {self.ell + 1} clause indices")
+
+    @property
+    def ell(self) -> int:
+        return len(self.pairs) - 1
+
+
 # ---------------------------------------------------------------------------
 # Bicycle
 
 
 @dataclass(frozen=True)
-class Bicycle:
+class Bicycle(_Chain):
     """Chain certificate f0 t1, f1 t2, ..., f_ell t_{ell+1}.
 
     ``pairs[i] = (f_i, t_{i+1})`` is clause ``clause_indices[i]`` as written
@@ -76,16 +95,7 @@ class Bicycle:
     i0: int
     i1: int
     clause_indices: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.ell < 2:
-            raise ValueError(f"bicycle needs ell >= 2, got {self.ell}")
-        if len(self.clause_indices) != len(self.pairs):
-            raise ValueError(f"bicycle of ell={self.ell} needs {self.ell + 1} clause indices")
-
-    @property
-    def ell(self) -> int:
-        return len(self.pairs) - 1
+    _least_ell = 2
 
 
 def _clauses_match(f: Formula, cert: Bicycle | Snake, kind: str) -> bool:
@@ -117,58 +127,55 @@ def verify_bicycle(f: Formula, cert: Bicycle) -> bool:
     return pairs[0][0].var == t_vars[cert.i0 - 1] and pairs[-1][1].var == t_vars[cert.i1 - 1]
 
 
-def _chain_graph(c: CompiledFormula):
-    """The closed-walk chain graph of width-2 ``c``: by_lead, successors,
-    the disjointness rule and whether the SCC decider refutes ``c``.
+def _chain_graph(c: CompiledFormula, nodes: list[int], comp: list[int]):
+    """The closed-walk chain graph of width-2 ``c``, from the slot nodes and
+    node components of :func:`rsat.solver.literal_components`: its
+    successor lists and the disjointness rule.
 
     An orientation of clause i is named by its lead slot s (2i or 2i+1);
     its trail is slot ``s ^ 1``.  It is kept when its clause arc, from the
     complement of its lead to its trail, lies inside one strongly connected
     component of the SCC decider's digraph, so that some closed walk uses
-    it.  ``by_lead[j]`` lists, in slot order, the kept orientations that
-    lead on x_j, leaving out clauses with both literals on one variable,
-    which no chain certificate can use.  ``disjoint(a, b)``, for slots on
-    one variable, holds when the relations differ and the ``>=`` rank is
-    strictly greater than the ``<=`` rank (a tie is not disjoint).
-    ``successors(s)`` lists the orientations in ``by_lead`` whose lead is
-    disjoint from s's trail; each list is built on first use and shared by
-    trails with one literal.  The flag is True when some node shares a
-    component with its complement, i.e. ``c`` is unsatisfiable.
+    it, and when its clause joins two variables, as a chain certificate's
+    clauses do.  ``successors`` maps every kept orientation, in start
+    order (lead variable ascending, then slot order), to the kept
+    orientations, in slot order, whose lead is disjoint from its
+    trail.  ``disjoint(a, b)``, for slots on one variable, holds when the
+    relations differ and the ``>=`` rank is strictly greater than the
+    ``<=`` rank (a tie is not disjoint).
     """
     var, ge, rank = c.var, c.ge, c.rank
-    nodes, comp, refuted = literal_components(c)
     by_lead: dict[int, list[int]] = {}
     for s in range(len(var)):
         u, w = nodes[s], nodes[s ^ 1]
         if var[s] != var[s ^ 1] and u >= 0 and w >= 0 and comp[u ^ 1] == comp[w]:
             by_lead.setdefault(var[s], []).append(s)
-    cache: dict[tuple[int, int], list[int]] = {}
 
     def disjoint(a, b):
         return ge[a] != ge[b] and (rank[a] > rank[b] if ge[a] else rank[b] > rank[a])
 
-    def successors(s):
-        a = s ^ 1
-        key = (rank[a], ge[a])
-        out = cache.get(key)
-        if out is None:
-            out = cache[key] = [t for t in by_lead.get(var[a], ()) if disjoint(a, t)]
-        return out
-
-    return by_lead, successors, disjoint, refuted
+    successors = {s: [t for t in by_lead.get(var[s ^ 1], ()) if disjoint(s ^ 1, t)]
+                  for j in sorted(by_lead) for s in by_lead[j]}
+    return successors, disjoint
 
 
-def _oriented(f: Formula, s: int) -> tuple[Literal, Literal]:
-    """The (lead, trail) pair of the orientation whose lead is slot ``s``."""
-    clause = f.clauses[s >> 1]
-    return clause[s & 1], clause[(s ^ 1) & 1]
+def _certificate(f: Formula, chain: list[int], make, verify):
+    """``make(pairs=..., clause_indices=...)`` for the chain of orientations,
+    each named by its lead slot, once ``verify`` accepts it against ``f``."""
+    pairs = tuple((f.clauses[s >> 1][s & 1], f.clauses[s >> 1][(s ^ 1) & 1]) for s in chain)
+    cert = make(pairs=pairs, clause_indices=tuple(s >> 1 for s in chain))
+    if not verify(f, cert):
+        kind = type(cert).__name__.lower()
+        raise AssertionError(f"{kind} finder produced an invalid certificate")
+    return cert
 
 
 def find_bicycle(f: Formula):
     """Read a bicycle off one greedy walk on the closed-walk chain graph.
 
-    The walk starts from the first kept orientation (lead variables
-    ascending, then slot order) and always steps to the first successor.
+    The walk starts from the first key of the chain graph's successor dict,
+    the first kept orientation in start order (lead variables ascending,
+    then slot order), and always steps to the first successor.
     Its run of variables from just after the first repeated variable up to
     the next repeat is a bicycle: the repeat gives i0 >= 2, and the end
     folds back with i1 <= ell - 1 because a clause joins two variables.
@@ -176,7 +183,7 @@ def find_bicycle(f: Formula):
     A kept orientation's way back from its trail to its lead's complement
     stays in one component and leaves the trail's variable through a clause
     arc, so it has a kept successor unless that clause is on one variable.
-    A walk that dead-ends there is dropped and the next start is tried, so
+    A walk that dead-ends there is dropped and the next key is tried, so
     with repeated variables the work can grow to the number of starts
     times the walk length.  With distinct variables per clause no walk
     dead-ends, and an unsatisfiable formula, whose x and not-x share a
@@ -184,34 +191,28 @@ def find_bicycle(f: Formula):
     satisfiability.  In general None means only that no walk reached a
     bicycle.
 
-    Returns a verified Bicycle or None.
+    Returns a Bicycle that ``verify_bicycle`` accepted, or None.
     """
     c = compile_formula(f)
     var = c.var
-    by_lead, successors, _, _ = _chain_graph(c)
-    for lead_var in sorted(by_lead):
-        for start in by_lead[lead_var]:
-            # chain[i] leads on the walk's i-th variable; pos maps a variable
-            # to where the walk last reached it, and the bicycle's chain
-            # starts at q, the first visit of the first repeated variable
-            chain, pos, q = [start], {lead_var: 0}, None
-            while True:
-                r, v = len(chain), var[chain[-1] ^ 1]
-                j = pos.get(v, -1)
-                if q is not None and j > q:  # repeat inside the run: t_{ell+1} folds onto t_{i1}
-                    run = chain[q:]
-                    pairs = tuple(_oriented(f, s) for s in run)
-                    cert = Bicycle(pairs, i0, j - q, tuple(s >> 1 for s in run))
-                    if not verify_bicycle(f, cert):
-                        raise AssertionError("bicycle finder produced an invalid certificate")
-                    return cert
-                if q is None and j >= 0:  # first repeat: f_0 folds onto t_{i0}
-                    q, i0 = j, r - j
-                pos[v] = r
-                nxt = successors(chain[-1])
-                if not nxt:
-                    break
-                chain.append(nxt[0])
+    successors, _ = _chain_graph(c, *literal_components(c)[:2])
+    for start in successors:
+        # chain[i] leads on the walk's i-th variable; pos maps a variable
+        # to where the walk last reached it, and the bicycle's chain
+        # starts at q, the first visit of the first repeated variable
+        chain, pos, q = [start], {var[start]: 0}, None
+        while True:
+            r, v = len(chain), var[chain[-1] ^ 1]
+            j = pos.get(v, -1)
+            if q is not None and j > q:  # repeat inside the run: t_{ell+1} folds onto t_{i1}
+                return _certificate(f, chain[q:], partial(Bicycle, i0=i0, i1=j - q), verify_bicycle)
+            if q is None and j >= 0:  # first repeat: f_0 folds onto t_{i0}
+                q, i0 = j, r - j
+            pos[v] = r
+            nxt = successors[chain[-1]]
+            if not nxt:
+                break
+            chain.append(nxt[0])
     return None
 
 
@@ -220,7 +221,7 @@ def find_bicycle(f: Formula):
 
 
 @dataclass(frozen=True)
-class Snake:
+class Snake(_Chain):
     """Closed double-chain certificate.
 
     ``pairs[i] = (lead_i, trail_i)`` is clause ``clause_indices[i]`` as
@@ -230,16 +231,7 @@ class Snake:
 
     pairs: tuple[tuple[Literal, Literal], ...]
     clause_indices: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.ell < 0:
-            raise ValueError(f"snake needs ell >= 0, got {self.ell}")
-        if len(self.clause_indices) != len(self.pairs):
-            raise ValueError(f"snake of ell={self.ell} needs {self.ell + 1} clause indices")
-
-    @property
-    def ell(self) -> int:
-        return len(self.pairs) - 1
+    _least_ell = 0
 
     @property
     def b(self) -> tuple[int, ...]:
@@ -283,14 +275,18 @@ def find_snake(f: Formula, budget: int = DEFAULT_FIND_BUDGET):
     walk's implication cycle puts the complement of each lead in one
     strongly connected component with its trail; the closed-walk chain
     graph holds only such orientations.  A snake certifies
-    unsatisfiability, so a satisfiable formula is not searched.  The first
-    half is at most a small margin above log n / log(m/2n) long.
+    unsatisfiability, so the SCC decider's components come first: a
+    formula they leave satisfiable is not searched, and its chain graph is
+    not built.  Middle variables and starts are tried in the successor
+    dict's key order.  The first half is at most a small margin above
+    log n / log(m/2n) long.
     """
     c = compile_formula(f)
     var = c.var
-    by_lead, successors, disjoint, refuted = _chain_graph(c)
+    nodes, comp, refuted = literal_components(c)
     if not refuted or f.m < 7:
         return None
+    successors, disjoint = _chain_graph(c, nodes, comp)
     if f.m > 2 * f.n and f.n >= 2:
         max_half = 2 + snake_length(f.n, f.m / f.n) // 2
     else:
@@ -301,50 +297,46 @@ def find_snake(f: Formula, budget: int = DEFAULT_FIND_BUDGET):
     # start.  Visiting orientation t at depth len(chain) + 1 costs one step;
     # only a node that may grow the walk joins chain and used and gets a
     # frame.  d1 is None during the first half, else its length.
-    for mid in sorted(by_lead):
-        for start in by_lead[mid]:
-            chain, used, frames, d1 = [], {mid}, [iter((start,))], None
-            while frames:
-                for t in frames[-1]:  # the next child to visit
-                    nv = var[t ^ 1]
-                    if nv == mid or nv not in used:
-                        break
-                else:  # pop the spent frame
-                    frames.pop()
-                    if chain:
-                        nv = var[chain.pop() ^ 1]
-                        if nv != mid:
-                            used.remove(nv)
-                        if d1 is not None and len(chain) < d1:
-                            d1 = None
+    for start in successors:
+        mid = var[start]
+        chain, used, frames, d1 = [], {mid}, [iter((start,))], None
+        while frames:
+            for t in frames[-1]:  # the next child to visit
+                nv = var[t ^ 1]
+                if nv == mid or nv not in used:
+                    break
+            else:  # pop the spent frame
+                frames.pop()
+                if chain:
+                    nv = var[chain.pop() ^ 1]
+                    if nv != mid:
+                        used.remove(nv)
+                    if d1 is not None and len(chain) < d1:
+                        d1 = None
+                continue
+            steps += 1
+            if steps > budget:
+                return None
+            depth = len(chain) + 1
+            if d1 is None and depth > max_half:
+                continue
+            if nv == mid:
+                if d1 is not None:
+                    # the closing link and sk3 test the same slots whether
+                    # the split is (d1, d1+1) or rotated to (d1-1, d1)
+                    d2 = depth - d1
+                    if (d2 == d1 + 1 or d2 == d1 - 1 >= 3) and disjoint(t ^ 1, start) and \
+                            disjoint(chain[d1 - 1] ^ 1, t ^ 1) and disjoint(chain[d1], start):
+                        snake = chain + [t] if d2 > d1 else chain[d1:] + [t] + chain[:d1]
+                        return _certificate(f, snake, Snake, verify_snake)
                     continue
-                steps += 1
-                if steps > budget:
-                    return None
-                depth = len(chain) + 1
-                if d1 is None and depth > max_half:
+                if depth < 3:
                     continue
-                if nv == mid:
-                    if d1 is not None:
-                        # the closing link and sk3 test the same slots whether
-                        # the split is (d1, d1+1) or rotated to (d1-1, d1)
-                        d2 = depth - d1
-                        if (d2 == d1 + 1 or d2 == d1 - 1 >= 3) and disjoint(t ^ 1, start) and \
-                                disjoint(chain[d1 - 1] ^ 1, t ^ 1) and disjoint(chain[d1], start):
-                            snake = chain + [t] if d2 > d1 else chain[d1:] + [t] + chain[:d1]
-                            pairs = tuple(_oriented(f, s) for s in snake)
-                            cert = Snake(pairs, tuple(s >> 1 for s in snake))
-                            if not verify_snake(f, cert):
-                                raise AssertionError("snake finder produced an invalid certificate")
-                            return cert
-                        continue
-                    if depth < 3:
-                        continue
-                    d1 = depth  # the first half closed; walk the second
-                elif d1 is not None and depth - d1 >= d1 + 1:
-                    continue  # the second half can be at most one clause longer
-                chain.append(t)
-                if nv != mid:
-                    used.add(nv)
-                frames.append(iter(successors(t)))
+                d1 = depth  # the first half closed; walk the second
+            elif d1 is not None and depth - d1 >= d1 + 1:
+                continue  # the second half can be at most one clause longer
+            chain.append(t)
+            if nv != mid:
+                used.add(nv)
+            frames.append(iter(successors[t]))
     return None

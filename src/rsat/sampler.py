@@ -222,24 +222,15 @@ def truncate_thresholds(f: Formula, lam: int) -> Formula:
     return _map_sides(f, Dyadic(lam), lambda p, q: p * scale // q)
 
 
-def _common_prefix_bits(x: Fraction, y: Fraction) -> int:
-    """Number of leading binary digits on which x, y in [0, 1) agree."""
-    bits = 0
-    while True:
-        shift = 1 << (bits + 1)
-        if (x.numerator * shift) // x.denominator != (y.numerator * shift) // y.denominator:
-            return bits
-        bits += 1
-
-
 def min_safe_lambda(f: Formula) -> int:
     """Smallest truncation depth that provably preserves satisfiability.
 
-    Computed over the complement-closed set of encoded sides
-    S = {a} union {1-a}: the largest number of leading bits shared by any
-    two distinct values of S, plus one.  Closure under a -> 1-a is needed
-    because >=-literals compare through their direct bound 1-a; without it
-    a cross pair like sides {0.011, 0.110} would truncate to disjointness.
+    The first depth lam >= 0 at which the floor map a -> floor(a * 2^lam)
+    that :func:`truncate_thresholds` applies keeps the complement-closed
+    set of encoded sides S = {a} union {1-a} injective.  Closure under
+    a -> 1-a is needed because >=-literals compare through their direct
+    bound 1-a; without it a cross pair like sides {0.011, 0.110} would
+    truncate to disjointness.
     """
     lits = [lit for clause in f.clauses for lit in clause]
     sides = [lit.encoded_rhs() for lit in lits]
@@ -253,11 +244,8 @@ def min_safe_lambda(f: Formula) -> int:
         raise DuplicateThresholds(
             "a <=-literal and a >=-literal meet at the same bound (a + a' = 1)"
         )
-    side_set = set(sides)
-    closed = sorted(side_set | {ONE - a for a in side_set})
-    if len(closed) <= 1:
-        return 1 if closed else 0
-    worst = 0
-    for x, y in zip(closed, closed[1:]):
-        worst = max(worst, _common_prefix_bits(x, y))
-    return worst + 1
+    closed = set(sides) | {ONE - a for a in sides}
+    lam = 0
+    while len({(a.numerator << lam) // a.denominator for a in closed}) < len(closed):
+        lam += 1
+    return lam

@@ -300,19 +300,21 @@ class ImplicationDigraph:
     succ: list[list[int]]
 
 
-def _literal_nodes(c: CompiledFormula) -> list[int]:
-    """Node of every slot; -1 for a literal that holds on every candidate."""
+def _order_graph(c: CompiledFormula) -> tuple[list[int], list[list[int]]]:
+    """The order-encoding digraph of width-2 ``c``: the node of every slot
+    (-1 for a literal that holds on every candidate, whose clause is then
+    vacuous) and every node's successors, the clause contrapositives plus
+    each variable's entailment chains.  A width other than 2 is a
+    WrongArity."""
+    if c.k != 2:
+        raise WrongArity(f"the implication digraph requires k = 2, got k = {c.k}")
     start = c.start
-    return [
+    nodes = [
         (2 * (g - j) + 1 if g != start[j] else -1)
         if e
         else (2 * (g - j) + 2 if g != start[j + 1] - 1 else -1)
         for j, e, g in zip(c.var, c.ge, c.rank)
     ]
-
-
-def _implication_succ(c: CompiledFormula, nodes: list[int]) -> list[list[int]]:
-    start = c.start
     succ: list[list[int]] = [[] for _ in range(2 * (start[-1] - c.n))]
     for j in range(1, c.n + 1):
         # variable j's nodes are [2(start[j] - j + 1), 2(start[j + 1] - j));
@@ -325,7 +327,7 @@ def _implication_succ(c: CompiledFormula, nodes: list[int]) -> list[list[int]]:
         if u >= 0 and w >= 0:  # else one side holds on every candidate: vacuous
             succ[u ^ 1].append(w)
             succ[w ^ 1].append(u)
-    return succ
+    return nodes, succ
 
 
 def literal_components(c: CompiledFormula) -> tuple[list[int], list[int], bool]:
@@ -334,20 +336,16 @@ def literal_components(c: CompiledFormula) -> tuple[list[int], list[int], bool]:
     ``c``.  Components are numbered sinks-first.  A width other than 2 is a
     WrongArity.
     """
-    if c.k != 2:
-        raise WrongArity(f"the implication digraph requires k = 2, got k = {c.k}")
-    nodes = _literal_nodes(c)
-    comp = _tarjan(_implication_succ(c, nodes))
+    nodes, succ = _order_graph(c)
+    comp = _tarjan(succ)
     return nodes, comp, any(map(eq, comp[0::2], comp[1::2]))
 
 
 def build_implication_digraph(f: Formula, domains=None) -> ImplicationDigraph:
     """The SCC decider's digraph of ``f``.  ``domains``, if given, must be
     ``candidate_domains(f)``; the view derives them itself."""
-    if f.k != 2:
-        raise WrongArity(f"implication digraph requires k = 2, got k = {f.k}")
     c = compile_formula(f)
-    succ = _implication_succ(c, _literal_nodes(c))
+    _, succ = _order_graph(c)
     nodes = [
         key
         for j in range(1, f.n + 1)

@@ -32,7 +32,7 @@ from rsat import (
 )
 from rsat.certificates import DEFAULT_FIND_BUDGET, _chain_graph
 from rsat.formula import signs_disjoint
-from rsat.solver import compile_formula
+from rsat.solver import compile_formula, literal_components
 from oracles import exhaustive_bicycle, ring_formula
 
 
@@ -562,7 +562,7 @@ def test_chain_graph_disjointness_matches_literals(token):
     for seed in range(70_000, 70_010):
         f = sample_formula(GenConfig(k=2, n=24, m=72, vspec=vspec_from_token(token), seed=seed))
         c = compile_formula(f)
-        _, _, disjoint, _ = _chain_graph(c)
+        _, disjoint = _chain_graph(c, *literal_components(c)[:2])
         lits = [lit for clause in f.clauses for lit in clause]
         for a, b in itertools.product(range(len(lits)), repeat=2):
             if c.var[a] == c.var[b]:
