@@ -34,7 +34,7 @@ from .fileformat import (
 from .formula import Formula, TruthValueSpec
 from .rng import Stream
 from .sampler import GenConfig, sample_formula
-from .solver import DEFAULT_NODE_BUDGET, solve_2rsat_scc, solve_complete
+from .solver import DEFAULT_NODE_BUDGET, check_budget, solve_2rsat_scc, solve_complete
 from .sweep import SweepConfig, render_limited_report, render_sweep_csv, run_sweep
 
 EXIT_OK = 0
@@ -162,6 +162,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    check_budget(args.budget)
     f = _read_formula(args)
     use_scc = args.decider == "scc" or (args.decider == "auto" and f.k == 2)
     if use_scc:
@@ -180,6 +181,8 @@ def _cmd_solve(args) -> int:
 
 def _cmd_cert(args) -> int:
     if args.cert_command == "find":
+        if args.kind == "snake":
+            check_budget(args.budget)
         f = _read_formula(args)
         outcome = find_bicycle(f) if args.kind == "bicycle" else find_snake(f, args.budget)
         if outcome is None:

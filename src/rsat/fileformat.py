@@ -10,11 +10,13 @@ Formula files::
 with ``<vspec>`` one of ``finite:<v>``, ``dyadic:<lambda>``,
 ``continuous``.  Fractions must be in lowest terms with positive
 denominator, and every integer is written as ``str(int(field))`` gives
-it.  `Formula` checks the clause rules (width k, variables in 1..n,
-bounds in V) and the parser names the offending line.  Errors come in
-this order: token errors (innocuous literals among them) in file order,
-then the first clause that breaks a clause rule, then a clause count
-other than the header's m.
+it.  Over a finite or dyadic V with at most k*m values, the parsed
+literals share one Fraction per bound text, so one per value of V; over
+other sets each token builds its own.  `Formula` checks the clause rules
+(width k, variables in 1..n, bounds in V) and the parser names the
+offending line.  Errors come in this order: token errors (innocuous
+literals among them) in file order, then the first clause that breaks a
+clause rule, then a clause count other than the header's m.
 
 Certificate files::
 
@@ -43,6 +45,7 @@ from .formula import (
     Literal,
     Rel,
     TruthValueSpec,
+    vspec_grid,
 )
 
 _RELS = {"le": Rel.LE, "ge": Rel.GE}
@@ -53,7 +56,7 @@ _CERT_HEADERS = {"bicycle": "cert bicycle <ell> <i0> <i1>", "snake": "cert snake
 # token's variable and denominator are positive, its numerator is not negative
 _POS = "[1-9][0-9]*"
 _INT_RE = re.compile(f"0|-?{_POS}")
-_literal_match = re.compile(f"({_POS}):(le|ge):(0|{_POS})/({_POS})").fullmatch
+_literal_match = re.compile(f"({_POS}):(le|ge):((0|{_POS})/({_POS}))").fullmatch
 
 
 def _int(field: str, what: str, line: int | None) -> int:
@@ -90,7 +93,11 @@ def literal_to_token(lit: Literal) -> str:
     return f"{lit.var}:{lit.rel.value}:{lit.bound.numerator}/{lit.bound.denominator}"
 
 
-def literal_from_token(token: str, line: int | None = None) -> Literal:
+def literal_from_token(
+    token: str, line: int | None = None, *, shared: dict[str, Fraction] | None = None
+) -> Literal:
+    """The literal a token names; ``shared`` maps each bound text already read
+    to its Fraction, which later literals with that text reuse."""
     match = _literal_match(token)
     if match is None:
         raise ParseError(
@@ -98,11 +105,15 @@ def literal_from_token(token: str, line: int | None = None) -> Literal:
             " integers, with <var> and <den> positive)",
             line,
         )
-    var_s, rel_s, num_s, den_s = match.groups()
-    den = int(den_s)
-    bound = Fraction(int(num_s), den)
-    if bound.denominator != den:
-        raise ParseError(f"fraction '{num_s}/{den_s}' is not in lowest terms", line)
+    var_s, rel_s, bound_s, num_s, den_s = match.groups()
+    bound = shared.get(bound_s) if shared is not None else None
+    if bound is None:
+        den = int(den_s)
+        bound = Fraction(int(num_s), den)
+        if bound.denominator != den:
+            raise ParseError(f"fraction '{bound_s}' is not in lowest terms", line)
+        if shared is not None:
+            shared[bound_s] = bound
     try:
         return Literal(int(var_s), _RELS[rel_s], bound)
     except ValueError as exc:
@@ -138,11 +149,15 @@ def parse_formula(text: str) -> Formula:
         raise ParseError("expected header 'p rsat <k> <n> <m> <vspec>'", header)
     k, n, m = (_int(field, "header field", header) for field in fields[2:5])
     vspec = vspec_from_token(fields[5], header)
-    clauses, clause_lines = [], []
+    # |V| <= k*m: the literals share one Fraction per bound text, so per value of V
+    shared = {} if 0 < vspec_grid(vspec) < k * m else None
+    clauses, clause_lines, distinct = [], [], True
     for lineno, line in lines:
-        clauses.append(tuple(literal_from_token(token, lineno) for token in line.split()))
+        clause = tuple(literal_from_token(token, lineno, shared=shared) for token in line.split())
+        if distinct and len({lit.var for lit in clause}) != len(clause):
+            distinct = False
+        clauses.append(clause)
         clause_lines.append(lineno)
-    distinct = all(len({lit.var for lit in cl}) == len(cl) for cl in clauses)
     try:
         f = Formula(k, n, tuple(clauses), vspec, distinct)
     except ClauseError as exc:

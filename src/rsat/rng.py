@@ -62,11 +62,21 @@ class Stream:
 
     def below(self, n: int) -> int:
         """Uniform integer in [0, n) by masked rejection; exact for any n >= 1."""
-        return self.below_fn(n)()
+        if n <= 0:
+            raise ValueError("below() requires n >= 1")
+        k = (n - 1).bit_length()
+        if k == 0:
+            return 0  # one value: no draw
+        shift = 64 - k
+        r = self.next_u64() >> shift
+        while r >= n:
+            r = self.next_u64() >> shift
+        return r
 
     def below_fn(self, n: int):
         """A no-argument function drawing ``below(n)`` from this stream, so a
-        hot loop over one n sets up the rejection draw once."""
+        hot loop over one n sets up the rejection draw once; it runs the same
+        masked rejection as :meth:`below`."""
         if n <= 0:
             raise ValueError("below() requires n >= 1")
         k = (n - 1).bit_length()

@@ -46,11 +46,17 @@ from math import lcm
 from operator import eq, rshift
 from typing import Optional
 
-from .errors import ResourceLimit, WrongArity
+from .errors import InvalidConfig, ResourceLimit, WrongArity
 from .formula import ZERO, Formula, Rel
 
 DEFAULT_NODE_BUDGET = 5_000_000
 DEFAULT_COUNT_BUDGET = 2_000_000
+
+
+def check_budget(budget: int) -> None:
+    """Reject a search budget below 1, which no search could spend."""
+    if budget < 1:
+        raise InvalidConfig(f"budget must be >= 1, got {budget}")
 
 
 @dataclass(frozen=True)

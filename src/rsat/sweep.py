@@ -23,7 +23,13 @@ from .fileformat import vspec_to_token
 from .formula import TruthValueSpec
 from .rng import stream_seed
 from .sampler import GenConfig, draw_slots
-from .solver import DEFAULT_NODE_BUDGET, compile_slots, solve_2rsat_scc, solve_complete
+from .solver import (
+    DEFAULT_NODE_BUDGET,
+    check_budget,
+    compile_slots,
+    solve_2rsat_scc,
+    solve_complete,
+)
 
 CSV_HEADER = "k,v,n,m,c,trials,sat,p_hat,ci_lo,ci_hi,seed"
 CONFIDENCE = 0.95
@@ -45,8 +51,7 @@ class SweepConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise InvalidConfig(f"trials must be >= 1, got {self.trials}")
-        if self.budget < 1:
-            raise InvalidConfig(f"budget must be >= 1, got {self.budget}")
+        check_budget(self.budget)
         if not self.vspecs or not self.n_values or not self.c_grid:
             raise InvalidConfig("vspecs, n_values and c_grid must be non-empty")
         if any(c <= 0 for c in self.c_grid):

@@ -360,3 +360,21 @@ def test_module_entry_point_passes_exit_code():
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 2
     assert proc.stderr.startswith("parse error: cannot read")
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_solve_rejects_budget_below_one(capsys, tmp_path, budget):
+    path = tmp_path / "k3.rsat"
+    path.write_text(rsat.render_formula(rsat.sample_formula(rsat.GenConfig(k=3, n=10, m=40))))
+    code, out, err = run(capsys, "solve", str(path), "--decider", "complete", "--budget", budget)
+    assert code == 1 and out == ""
+    assert err == f"error: budget must be >= 1, got {budget}\n"
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_cert_find_snake_rejects_budget_below_one(capsys, tmp_path, budget):
+    path = tmp_path / "ring.rsat"
+    path.write_text(rsat.render_formula(ring_formula(40)))
+    code, out, err = run(capsys, "cert", "find", "snake", str(path), "--budget", budget)
+    assert code == 1 and out == ""
+    assert err == f"error: budget must be >= 1, got {budget}\n"

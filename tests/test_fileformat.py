@@ -165,6 +165,91 @@ def test_parse_checks_each_bound_once():
     assert sum(s[1] for key, s in stats.items() if key[2] == "on_grid") == f.k * f.m
 
 
+def _fraction_count(profile) -> int:
+    """Fraction constructions a cProfile run recorded."""
+    stats = pstats.Stats(profile).stats  # (file, line, name) -> (cc, ncalls, ...)
+    return sum(s[1] for key, s in stats.items()
+               if key[0].endswith("fractions.py") and key[2] == "__new__")
+
+
+def _fractions_built(fn, *args):
+    """(result, number of Fraction constructions) of fn(*args)."""
+    profile = cProfile.Profile()
+    return profile.runcall(fn, *args), _fraction_count(profile)
+
+
+@pytest.mark.parametrize("vspec, per_formula", [(Finite(5), 5), (CONTINUOUS, None)])
+def test_sample_and_parse_build_one_fraction_per_value(vspec, per_formula):
+    # k*m = 45 >= |V| = 5: one shared Fraction per value; a continuous V has
+    # no table, so one Fraction per slot
+    cfg = GenConfig(k=3, n=9, m=15, vspec=vspec, seed=7)
+    f, sampled = _fractions_built(sample_formula, cfg)
+    again, parsed = _fractions_built(parse_formula, render_formula(f))
+    assert again == f
+    if per_formula is None:
+        assert sampled == parsed == f.k * f.m
+    else:
+        assert sampled <= per_formula and parsed <= per_formula
+
+
+def test_a_large_header_m_builds_no_values_up_front():
+    # k*m comes from the header, which is checked only after the clauses, so
+    # the shared values are the ones the tokens name, not all of V
+    text = "p rsat 2 1 1000000 dyadic:20\n1:le:0/1 1:ge:1/1\n"
+    profile = cProfile.Profile()
+    with pytest.raises(ParseError, match="expected 1000000 clause lines, found 1"):
+        profile.runcall(parse_formula, text)
+    assert _fraction_count(profile) == 2
+
+
+# (V, k, m) with |V| just below, at and just above k*m
+_TABLE_EDGES = [
+    (Finite(7), 2, 4), (Finite(8), 2, 4), (Finite(9), 2, 4),
+    (Dyadic(3), 2, 5), (Dyadic(3), 3, 3), (Dyadic(3), 2, 4),
+]
+
+
+@pytest.mark.parametrize("distinct", [False, True])
+@pytest.mark.parametrize("vspec, k, m", _TABLE_EDGES)
+def test_round_trip_at_the_shared_value_edge(vspec, k, m, distinct):
+    f = sample_formula(GenConfig(k=k, n=6, m=m, vspec=vspec, seed=11,
+                                 distinct_vars_per_clause=distinct))
+    text = render_formula(f)
+    again = parse_formula(text)
+    assert again == f and render_formula(again) == text
+    size, slots = rsat.vspec_cardinality(vspec), k * m
+    for g in (f, again):
+        objects = len({id(lit.bound) for clause in g.clauses for lit in clause})
+        if size <= slots:
+            assert objects <= size
+        else:
+            assert objects == slots
+
+
+_FINITE5 = "p rsat 2 3 3 finite:5\n1:le:1/4 2:ge:1/1\n2:le:3/4 3:ge:1/4\n3:le:1/2 1:ge:3/4\n"
+
+
+@pytest.mark.parametrize(
+    "old, new, line, message",
+    [
+        ("1:le:1/4", "1:le:2/8", 2, "fraction '2/8' is not in lowest terms"),
+        ("3:ge:1/4", "3:ge:1/3", 3, "bound 1/3 not in V of Finite(v=5)"),
+        # 1/1 was read on line 2, so this token's bound comes from the shared dict
+        ("1:ge:3/4", "1:le:1/1", 4, "innocuous literal (x <= 1 or x >= 0) is forbidden"),
+    ],
+)
+def test_shared_value_rejections_name_their_line(old, new, line, message):
+    # k*m = 6 >= |V| = 5 shares values; the same lines under m = 2 (k*m = 4 < 5)
+    # take the per-slot path and must fail the same way, ahead of the clause count
+    errors = []
+    for header in ("p rsat 2 3 3 finite:5", "p rsat 2 3 2 finite:5"):
+        with pytest.raises(ParseError) as err:
+            parse_formula(_FINITE5.replace(old, new).replace("p rsat 2 3 3 finite:5", header))
+        errors.append(str(err.value))
+        assert err.value.line == line and message in str(err.value)
+    assert errors[0] == errors[1]
+
+
 # ---------------------------------------------------------------------------
 # certificates
 

@@ -60,3 +60,15 @@ def test_below_fn_draws_like_below():
         draw = b.below_fn(n)
         assert [a.below(n) for _ in range(200)] == [draw() for _ in range(200)]
         assert a.next_u64() == b.next_u64()  # same number of draws consumed
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 1000, 1 << 53, 1 << 64])
+def test_below_and_below_fn_draw_one_sequence(n):
+    # below runs its own rejection loop, so pin it to below_fn's draws
+    a, b = Stream(2024), Stream(2024)
+    draw = b.below_fn(n)
+    assert [a.below(n) for _ in range(300)] == [draw() for _ in range(300)]
+    after = a.next_u64()
+    assert after == b.next_u64()  # same number of draws consumed
+    if n == 1:  # one value: no draw
+        assert after == Stream(2024).next_u64()
