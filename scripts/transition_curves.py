@@ -19,6 +19,7 @@ from rsat import (
     CONTINUOUS,
     Dyadic,
     Finite,
+    NoCrossing,
     SweepConfig,
     estimate_crossing,
     render_sweep_csv,
@@ -60,7 +61,7 @@ def main() -> int:
         try:
             crossing = estimate_crossing(slice_results, 0.5)
             print(f"# crossing {token}: c ~ {crossing:.3f}", file=sys.stderr)
-        except Exception as exc:
+        except NoCrossing as exc:
             print(f"# crossing {token}: {exc}", file=sys.stderr)
     return 0
 

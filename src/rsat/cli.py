@@ -269,6 +269,8 @@ def _sample_profile(n: int, km: int, stream: Stream) -> list[int]:
 
 
 def _cmd_moments(args) -> int:
+    if args.mc < 0:
+        raise _UsageError(f"--mc must be >= 0, got {args.mc}")
     try:
         d = [int(part) for part in args.d.split(",")]
         exact = analytics.exact_factorial_moment(args.n, args.m, args.k, d)

@@ -10,13 +10,12 @@ Formula files::
 with ``<vspec>`` one of ``finite:<v>``, ``dyadic:<lambda>``,
 ``continuous``.  Fractions must be in lowest terms with positive
 denominator, and every integer is written as ``str(int(field))`` gives
-it.  Over a finite or dyadic V with at most k*m values, the parsed
-literals share one Fraction per bound text, so one per value of V; over
-other sets each token builds its own.  `Formula` checks the clause rules
-(width k, variables in 1..n, bounds in V) and the parser names the
-offending line.  Errors come in this order: token errors (innocuous
-literals among them) in file order, then the first clause that breaks a
-clause rule, then a clause count other than the header's m.
+it.  The literals of one file share one Fraction per bound text, so one
+per distinct bound.  `Formula` checks the clause rules (width k, variables
+in 1..n, bounds in V) and the parser names the offending line.  Errors
+come in this order: token errors (innocuous literals among them) in file
+order, then the first clause that breaks a clause rule, then a clause
+count other than the header's m.
 
 Certificate files::
 
@@ -45,7 +44,6 @@ from .formula import (
     Literal,
     Rel,
     TruthValueSpec,
-    vspec_grid,
 )
 
 _RELS = {"le": Rel.LE, "ge": Rel.GE}
@@ -93,11 +91,10 @@ def literal_to_token(lit: Literal) -> str:
     return f"{lit.var}:{lit.rel.value}:{lit.bound.numerator}/{lit.bound.denominator}"
 
 
-def literal_from_token(
-    token: str, line: int | None = None, *, shared: dict[str, Fraction] | None = None
-) -> Literal:
-    """The literal a token names; ``shared`` maps each bound text already read
-    to its Fraction, which later literals with that text reuse."""
+def literal_from_token(token: str, line: int | None, shared: dict[str, Fraction]) -> Literal:
+    """The literal a token names.  ``shared`` maps each bound text already
+    read to its Fraction: a token whose text is there reuses it, and a new
+    text is checked, built and added."""
     match = _literal_match(token)
     if match is None:
         raise ParseError(
@@ -106,14 +103,13 @@ def literal_from_token(
             line,
         )
     var_s, rel_s, bound_s, num_s, den_s = match.groups()
-    bound = shared.get(bound_s) if shared is not None else None
+    bound = shared.get(bound_s)
     if bound is None:
         den = int(den_s)
         bound = Fraction(int(num_s), den)
         if bound.denominator != den:
             raise ParseError(f"fraction '{bound_s}' is not in lowest terms", line)
-        if shared is not None:
-            shared[bound_s] = bound
+        shared[bound_s] = bound
     try:
         return Literal(int(var_s), _RELS[rel_s], bound)
     except ValueError as exc:
@@ -149,11 +145,10 @@ def parse_formula(text: str) -> Formula:
         raise ParseError("expected header 'p rsat <k> <n> <m> <vspec>'", header)
     k, n, m = (_int(field, "header field", header) for field in fields[2:5])
     vspec = vspec_from_token(fields[5], header)
-    # |V| <= k*m: the literals share one Fraction per bound text, so per value of V
-    shared = {} if 0 < vspec_grid(vspec) < k * m else None
+    shared: dict[str, Fraction] = {}  # one Fraction per bound text
     clauses, clause_lines, distinct = [], [], True
     for lineno, line in lines:
-        clause = tuple(literal_from_token(token, lineno, shared=shared) for token in line.split())
+        clause = tuple(literal_from_token(token, lineno, shared) for token in line.split())
         if distinct and len({lit.var for lit in clause}) != len(clause):
             distinct = False
         clauses.append(clause)
@@ -187,13 +182,13 @@ def _parse_chain_lines(entries: list[tuple[int, str]], expected: int, header_lin
     """(pairs, clause_indices) of the chain lines after a certificate header."""
     if len(entries) != expected:
         raise ParseError(f"expected {expected} chain lines, found {len(entries)}", header_line)
-    pairs, clause_indices = [], []
+    pairs, clause_indices, shared = [], [], {}
     for lineno, line in entries:
         fields = line.split()
         if len(fields) != 3:
             raise ParseError("expected '<clause_index> <lit> <lit>'", lineno)
         clause_indices.append(_int(fields[0], "clause index", lineno))
-        pairs.append((literal_from_token(fields[1], lineno), literal_from_token(fields[2], lineno)))
+        pairs.append(tuple(literal_from_token(token, lineno, shared) for token in fields[1:]))
     return tuple(pairs), tuple(clause_indices)
 
 

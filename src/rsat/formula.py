@@ -7,7 +7,10 @@ exact rationals (`fractions.Fraction`), so comparisons, ties and ordering
 are reproducible bit for bit; no floating point enters the semantics.
 The checks read a bound's integer numerator and denominator (a Fraction is
 in lowest terms with a positive denominator), so each is an exact integer
-test, and a bound without them, such as a float, is a TypeError.
+test, and a bound without them, such as a float, is a TypeError.  Each rule
+is checked once: a `Literal` checks its variable, bound range and relation,
+and a `Formula` only what needs k, n or V (the width, x <= n, a bound
+denominator that divides V's grid, and repeats where they are forbidden).
 
 Truth-value sets come in three families:
 
@@ -102,18 +105,14 @@ def _not_rational(x) -> TypeError:
     return TypeError(f"bound must be an exact rational (Fraction or int), got {type(x).__name__}")
 
 
-def on_grid(grid: int, x: Fraction) -> bool:
-    """Membership of ``x`` in the value set whose grid is ``grid``; a bound
-    with no integer numerator and denominator is a TypeError."""
+def vspec_contains(vspec: TruthValueSpec, x: Fraction) -> bool:
+    """Membership of ``x`` in V; a bound with no integer numerator and
+    denominator is a TypeError."""
     try:
         num, den = x.numerator, x.denominator
     except AttributeError:
         raise _not_rational(x) from None
-    return 0 <= num <= den and grid % den == 0
-
-
-def vspec_contains(vspec: TruthValueSpec, x: Fraction) -> bool:
-    return on_grid(vspec_grid(vspec), x)
+    return 0 <= num <= den and vspec_grid(vspec) % den == 0
 
 
 # ---------------------------------------------------------------------------
@@ -204,10 +203,10 @@ class Formula:
             if len(clause) != self.k:
                 raise ClauseError(ci, f"width {len(clause)}, expected k = {self.k}")
             seen = set()
-            for lit in clause:
-                if not (1 <= lit.var <= self.n):
+            for lit in clause:  # a Literal has checked var >= 1 and 0 <= bound <= 1
+                if lit.var > self.n:
                     raise ClauseError(ci, f"variable x{lit.var} outside 1..{self.n}")
-                if not on_grid(grid, lit.bound):
+                if grid % lit.bound.denominator:
                     raise ClauseError(ci, f"bound {lit.bound} not in V of {self.vspec}")
                 if self.distinct_vars_per_clause:
                     if lit.var in seen:

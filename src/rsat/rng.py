@@ -56,6 +56,8 @@ class Stream:
 
     def bits(self, k: int) -> int:
         """Uniform integer in [0, 2^k) for 0 <= k <= 64."""
+        if not 0 <= k <= 64:
+            raise ValueError("bits() requires 0 <= k <= 64")
         if k == 0:
             return 0
         return self.next_u64() >> (64 - k)

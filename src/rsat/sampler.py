@@ -5,9 +5,8 @@ plus its seed determines the produced formula bit for bit.  Draw order is
 fixed: for each clause, first the k variable slots, then for each slot a
 relation bit followed by the encoded right-hand side.  One integer loop
 makes every draw (:func:`draw_slots`); sweeps compile its output straight
-to ranks, and :func:`sample_formula` turns it into literals.  Over a finite
-or dyadic V with at most as many values as slots, every literal shares the
-one Fraction of its value; otherwise each slot builds its own Fraction.
+to ranks, and :func:`sample_formula` turns it into literals, which share
+one Fraction per distinct bound.
 
 Every slot receives an encoded right-hand side ``a`` uniform over
 ``V \\ {1}``, drawn as a numerator over the value set's common
@@ -40,7 +39,6 @@ from .formula import (
     Rel,
     TruthValueSpec,
     vspec_grid,
-    vspec_values,
 )
 from .rng import Stream
 
@@ -130,11 +128,8 @@ def draw_slots(cfg: GenConfig) -> tuple[int, list[int], list[int], list[int]]:
 def _formula(shape: GenConfig | Formula, denominator: int, var, ge, num) -> Formula:
     """The one Literal builder: slot i is x_var[i] >= num[i]/D when ge[i], else
     <=; k, n, V and the clause model come from ``shape``."""
-    if denominator == vspec_grid(shape.vspec) < len(num):  # |V| <= slots: share V's values
-        bounds = map(vspec_values(shape.vspec).__getitem__, num)
-    else:
-        bounds = (Fraction(b, denominator) for b in num)
-    lits = [Literal(j, Rel.GE if e else Rel.LE, x) for j, e, x in zip(var, ge, bounds)]
+    values = {b: Fraction(b, denominator) for b in set(num)}  # one Fraction per bound
+    lits = [Literal(j, Rel.GE if e else Rel.LE, values[b]) for j, e, b in zip(var, ge, num)]
     k = shape.k
     clauses = tuple(tuple(lits[i : i + k]) for i in range(0, len(lits), k))
     return Formula(k, shape.n, clauses, shape.vspec, shape.distinct_vars_per_clause)

@@ -293,6 +293,7 @@ def test_moments_output(capsys):
         (("--n", "1", "--m", "1000", "--d", "400"), "error:", "outside the double range"),
         # the exact moment fits a double; the Monte Carlo variance does not
         (("--n", "2", "--m", "100", "--d", "100,0", "--mc", "20"), "error:", "double range"),
+        (("--n", "2", "--d", "2,0", "--mc", "-5"), "usage error:", "--mc must be >= 0, got -5"),
     ],
 )
 def test_moments_rejections_are_one_line(capsys, argv, err_start, message):

@@ -162,7 +162,13 @@ def test_parse_checks_each_bound_once():
     profile = cProfile.Profile()
     assert profile.runcall(parse_formula, render_formula(f)) == f
     stats = pstats.Stats(profile).stats  # (file, line, name) -> (cc, ncalls, ...)
-    assert sum(s[1] for key, s in stats.items() if key[2] == "on_grid") == f.k * f.m
+
+    def calls(fn) -> int:
+        code = fn.__code__
+        return stats[(code.co_filename, code.co_firstlineno, code.co_name)][1]
+
+    assert calls(rsat.Formula.__post_init__) == 1
+    assert calls(rsat.Literal.__post_init__) == f.k * f.m
 
 
 def _fraction_count(profile) -> int:
@@ -217,13 +223,15 @@ def test_round_trip_at_the_shared_value_edge(vspec, k, m, distinct):
     text = render_formula(f)
     again = parse_formula(text)
     assert again == f and render_formula(again) == text
-    size, slots = rsat.vspec_cardinality(vspec), k * m
     for g in (f, again):
         objects = len({id(lit.bound) for clause in g.clauses for lit in clause})
-        if size <= slots:
-            assert objects <= size
-        else:
-            assert objects == slots
+        assert objects == len({lit.bound for clause in g.clauses for lit in clause})
+
+
+def test_a_repeated_continuous_bound_text_parses_to_one_object():
+    f = parse_formula("p rsat 2 2 1 continuous\n1:le:1/3 2:le:1/3\n")
+    (a, b), = f.clauses
+    assert a.bound == F(1, 3) and a.bound is b.bound
 
 
 _FINITE5 = "p rsat 2 3 3 finite:5\n1:le:1/4 2:ge:1/1\n2:le:3/4 3:ge:1/4\n3:le:1/2 1:ge:3/4\n"

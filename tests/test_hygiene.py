@@ -1,12 +1,13 @@
 """Hygiene: every module of the package, the tests and the scripts uses
-every name it imports, every module of the package reads every private
-name it defines at top level, and every name the package exports or a
-package module defines publicly at top level is read somewhere in the
-source, the tests, the scripts or the benchmark.
+every name it imports and catches only errors it names (no bare
+``except:``, ``Exception`` or ``BaseException``), every module of the
+package reads every private name it defines at top level, and every name
+the package exports or a package module defines publicly at top level is
+read somewhere in the source, the tests, the scripts or the benchmark.
 
-A stdlib-only stand-in for a linter's unused-import and dead-code rules.
-The package's ``__init__.py`` is left out of the import scan because its
-imports are the package's exports.
+A stdlib-only stand-in for a linter's unused-import, broad-except and
+dead-code rules.  The package's ``__init__.py`` is left out of the import
+scan because its imports are the package's exports.
 """
 
 import ast
@@ -20,6 +21,12 @@ PACKAGE = Path(rsat.__file__).parent
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 MODULES += sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+
+
+def module_id(path: Path) -> str:
+    return path.name if path.parent == PACKAGE else f"{path.parent.name}/{path.name}"
+
+
 READERS = [p for tree in ("src", "tests", "scripts", "bench")
            for p in sorted((ROOT / tree).rglob("*.py")) if p != PACKAGE / "__init__.py"]
 
@@ -64,8 +71,7 @@ def test_scan_finds_an_unused_import():
     ]
 
 
-@pytest.mark.parametrize(
-    "path", MODULES, ids=lambda p: p.name if p.parent == PACKAGE else f"{p.parent.name}/{p.name}")
+@pytest.mark.parametrize("path", MODULES, ids=module_id)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
@@ -84,6 +90,42 @@ def test_scan_finds_an_unused_private_helper():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_module_reads_every_private_name(path):
     assert unused_private_names(path.read_text(encoding="utf-8")) == []
+
+
+BROAD = {"Exception", "BaseException"}
+
+
+def broad_handlers(source: str) -> list[str]:
+    """Handlers that catch every error: bare ``except:``, or one naming
+    ``Exception`` or ``BaseException``, alone or in a tuple."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ExceptHandler):
+            continue
+        if node.type is None:
+            found.append(f"line {node.lineno}: except")
+            continue
+        caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+        if any(isinstance(c, ast.Name) and c.id in BROAD for c in caught):
+            found.append(f"line {node.lineno}: except {ast.unparse(node.type)}")
+    return found
+
+
+def test_scan_finds_a_broad_handler():
+    source = (
+        "try:\n    pass\nexcept:\n    pass\n"
+        "try:\n    pass\nexcept Exception as exc:\n    pass\n"
+        "try:\n    pass\nexcept (OSError, BaseException):\n    pass\n"
+        "try:\n    pass\nexcept (ValueError, KeyError):\n    pass\n"
+    )
+    assert broad_handlers(source) == [
+        "line 3: except", "line 7: except Exception", "line 11: except (OSError, BaseException)"
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=module_id)
+def test_module_catches_no_broad_exception(path):
+    assert broad_handlers(path.read_text(encoding="utf-8")) == []
 
 
 def names_read(source: str) -> set[str]:

@@ -32,6 +32,14 @@ def test_bits_range():
     assert s.bits(0) == 0
 
 
+@pytest.mark.parametrize("k", [-1, 65])
+def test_bits_rejects_k_outside_0_to_64_before_drawing(k):
+    s, fresh = Stream(3), Stream(3)
+    with pytest.raises(ValueError, match=r"^bits\(\) requires 0 <= k <= 64$"):
+        s.bits(k)
+    assert s.next_u64() == fresh.next_u64()
+
+
 def test_below_range_and_rough_uniformity():
     s = Stream(99)
     counts = [0] * 7
