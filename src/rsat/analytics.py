@@ -86,6 +86,8 @@ def exact_factorial_moment(n: int, m: int, k: int, d: Sequence[int]) -> Fraction
     prescribed variables, the per-slot hit probability is 1/n and the
     slots must be distinct.
     """
+    if n < 1 or m < 0 or k < 1:
+        raise DomainError(f"requires n >= 1, m >= 0 and k >= 1, got n={n}, m={m}, k={k}")
     if len(d) != n:
         raise ValueError(f"need one exponent per variable: {len(d)} != n = {n}")
     if any(dj < 0 for dj in d):

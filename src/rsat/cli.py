@@ -34,8 +34,8 @@ from .fileformat import (
 from .formula import Formula, TruthValueSpec
 from .rng import Stream
 from .sampler import GenConfig, sample_formula
-from .solver import DEFAULT_NODE_BUDGET, check_budget, solve_2rsat_scc, solve_complete
-from .sweep import SweepConfig, render_limited_report, render_sweep_csv, run_sweep
+from .solver import DEFAULT_NODE_BUDGET, check_budget
+from .sweep import DECIDERS, SweepConfig, decide, render_limited_report, render_sweep_csv, run_sweep
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -79,7 +79,7 @@ def _build_parser() -> _Parser:
     p_solve = sub.add_parser("solve", help="decide a formula file")
     p_solve.add_argument("file", nargs="?", default=None)
     p_solve.add_argument("--stdin", action="store_true")
-    p_solve.add_argument("--decider", choices=("auto", "scc", "complete"), default="auto")
+    p_solve.add_argument("--decider", choices=DECIDERS, default="auto")
     p_solve.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
 
     p_cert = sub.add_parser("cert", help="find or verify certificates")
@@ -107,7 +107,7 @@ def _build_parser() -> _Parser:
     p_sweep.add_argument("--c", action="append", required=True, help="repeatable ratio, e.g. 3/2")
     p_sweep.add_argument("--trials", type=int, required=True)
     p_sweep.add_argument("--seed", type=int, default=0)
-    p_sweep.add_argument("--decider", choices=("auto", "scc", "complete"), default="auto")
+    p_sweep.add_argument("--decider", choices=DECIDERS, default="auto")
     p_sweep.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
     p_sweep.add_argument("--distinct", action="store_true")
     p_sweep.add_argument("--out", default=None)
@@ -127,16 +127,19 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _read_text(path) -> str:
+    """The text of the file at ``path``, or of stdin when ``path`` is None."""
+    if path is None:
+        return sys.stdin.read()
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror}") from None
+
+
 def _read_formula(args) -> Formula:
-    if args.stdin or args.file is None:
-        text = sys.stdin.read()
-    else:
-        try:
-            with open(args.file, "r", encoding="utf-8") as handle:
-                text = handle.read()
-        except OSError as exc:
-            raise ParseError(f"cannot read {args.file}: {exc.strerror}") from None
-    return parse_formula(text)
+    return parse_formula(_read_text(None if args.stdin else args.file))
 
 
 def _write_out(text: str, path) -> None:
@@ -163,12 +166,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_solve(args) -> int:
     check_budget(args.budget)
-    f = _read_formula(args)
-    use_scc = args.decider == "scc" or (args.decider == "auto" and f.k == 2)
-    if use_scc:
-        result = solve_2rsat_scc(f)
-    else:
-        result = solve_complete(f, budget=args.budget)
+    result = decide(_read_formula(args), args.decider, args.budget)
     if result.sat:
         print("SAT")
         for var in sorted(result.witness):
@@ -192,11 +190,7 @@ def _cmd_cert(args) -> int:
         return EXIT_OK
 
     f = _read_formula(args)
-    try:
-        with open(args.cert, "r", encoding="utf-8") as handle:
-            cert = parse_certificate(handle.read())
-    except OSError as exc:
-        raise ParseError(f"cannot read {args.cert}: {exc.strerror}") from None
+    cert = parse_certificate(_read_text(args.cert))
     if isinstance(cert, Bicycle):
         ok = verify_bicycle(f, cert)
     else:
@@ -226,8 +220,7 @@ def _cmd_sweep(args) -> int:
     if any(r.limited for r in results):
         report = render_limited_report(results)
         if args.out is not None:
-            with open(args.out + ".limited.csv", "w", encoding="utf-8") as handle:
-                handle.write(report)
+            _write_out(report, args.out + ".limited.csv")
         sys.stderr.write(report)
     return EXIT_OK
 

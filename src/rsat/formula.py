@@ -7,7 +7,8 @@ exact rationals (`fractions.Fraction`), so comparisons, ties and ordering
 are reproducible bit for bit; no floating point enters the semantics.
 The checks read a bound's integer numerator and denominator (a Fraction is
 in lowest terms with a positive denominator), so each is an exact integer
-test, and a bound without them, such as a float, is a TypeError.  Each rule
+test, and a bound without them, such as a float, is a TypeError; so is a
+variable index, k or n that is not exactly an int (a bool is not).  Each rule
 is checked once: a `Literal` checks its variable, bound range and relation,
 and a `Formula` only what needs k, n or V (the width, x <= n, a bound
 denominator that divides V's grid, and repeats where they are forbidden).
@@ -105,6 +106,10 @@ def _not_rational(x) -> TypeError:
     return TypeError(f"bound must be an exact rational (Fraction or int), got {type(x).__name__}")
 
 
+def _not_int(what: str, x) -> TypeError:
+    return TypeError(f"{what} must be an int, got {type(x).__name__}")
+
+
 def vspec_contains(vspec: TruthValueSpec, x: Fraction) -> bool:
     """Membership of ``x`` in V; a bound with no integer numerator and
     denominator is a TypeError."""
@@ -136,6 +141,8 @@ class Literal:
     bound: Fraction
 
     def __post_init__(self):
+        if type(self.var) is not int:
+            raise _not_int("variable index", self.var)
         if self.var < 1:
             raise ValueError(f"variable index must be >= 1, got {self.var}")
         try:
@@ -194,6 +201,10 @@ class Formula:
     distinct_vars_per_clause: bool = field(default=False, compare=False)
 
     def __post_init__(self):
+        if type(self.k) is not int:
+            raise _not_int("clause width k", self.k)
+        if type(self.n) is not int:
+            raise _not_int("variable count", self.n)
         if self.k < 2:
             raise ValueError(f"clause width k must be >= 2, got {self.k}")
         if self.n < 0:

@@ -39,6 +39,14 @@ def stream_seed(master: int, index: int) -> int:
     return mix64((master + (index + 1) * _GOLDEN) & _MASK64)
 
 
+def _below_bits(n: int) -> int:
+    """Bits of one below(n) draw.  A 64-bit draw covers n up to 2^64; any n
+    outside 1..2^64 is a ValueError."""
+    if not 1 <= n <= 1 << 64:
+        raise ValueError("below() requires n >= 1 and n <= 2^64")
+    return (n - 1).bit_length()
+
+
 class Stream:
     """SplitMix64 pseudo-random stream with exact-arithmetic helpers."""
 
@@ -63,10 +71,8 @@ class Stream:
         return self.next_u64() >> (64 - k)
 
     def below(self, n: int) -> int:
-        """Uniform integer in [0, n) by masked rejection; exact for any n >= 1."""
-        if n <= 0:
-            raise ValueError("below() requires n >= 1")
-        k = (n - 1).bit_length()
+        """Uniform integer in [0, n) by masked rejection; exact for 1 <= n <= 2^64."""
+        k = _below_bits(n)
         if k == 0:
             return 0  # one value: no draw
         shift = 64 - k
@@ -79,9 +85,7 @@ class Stream:
         """A no-argument function drawing ``below(n)`` from this stream, so a
         hot loop over one n sets up the rejection draw once; it runs the same
         masked rejection as :meth:`below`."""
-        if n <= 0:
-            raise ValueError("below() requires n >= 1")
-        k = (n - 1).bit_length()
+        k = _below_bits(n)
         if k == 0:
             return lambda: 0  # one value: no draw
         shift, nxt = 64 - k, self.next_u64

@@ -5,6 +5,9 @@ cell another one, so results are independent of scheduling and any cell
 or trial can be replayed in isolation.  Output is deterministic: same
 config and master seed, byte-identical CSV.
 
+:func:`decide` is the one decider rule, for sweeps and ``rsat solve`` alike:
+``auto`` runs the SCC decider at k = 2 and complete search otherwise.
+
 Resource-limited trials are never folded into the estimate: they are
 excluded from the trial count, reported separately, and a cell where they
 exceed 1% of requests is flagged.
@@ -20,17 +23,20 @@ from typing import Sequence
 from .analytics import wilson_interval
 from .errors import InvalidConfig, NoCrossing, ResourceLimit
 from .fileformat import vspec_to_token
-from .formula import TruthValueSpec
+from .formula import Formula, TruthValueSpec
 from .rng import stream_seed
 from .sampler import GenConfig, draw_slots
 from .solver import (
     DEFAULT_NODE_BUDGET,
+    CompiledFormula,
+    SolveResult,
     check_budget,
     compile_slots,
     solve_2rsat_scc,
     solve_complete,
 )
 
+DECIDERS = ("auto", "scc", "complete")
 CSV_HEADER = "k,v,n,m,c,trials,sat,p_hat,ci_lo,ci_hi,seed"
 CONFIDENCE = 0.95
 LIMITED_FLAG_RATIO = 0.01
@@ -44,7 +50,7 @@ class SweepConfig:
     c_grid: tuple[Fraction, ...]
     trials: int
     seed: int = 0
-    decider: str = "auto"  # auto | scc | complete
+    decider: str = "auto"  # one of DECIDERS
     budget: int = DEFAULT_NODE_BUDGET
     distinct_vars_per_clause: bool = False
 
@@ -56,7 +62,7 @@ class SweepConfig:
             raise InvalidConfig("vspecs, n_values and c_grid must be non-empty")
         if any(c <= 0 for c in self.c_grid):
             raise InvalidConfig("all c values must be positive")
-        if self.decider not in ("auto", "scc", "complete"):
+        if self.decider not in DECIDERS:
             raise InvalidConfig(f"unknown decider {self.decider!r}")
         if self.decider == "scc" and self.k != 2:
             raise InvalidConfig("the scc decider requires k = 2")
@@ -83,10 +89,16 @@ def clause_count(c: Fraction, n: int) -> int:
     return int(c * n + Fraction(1, 2))
 
 
+def decide(f: Formula | CompiledFormula, decider: str, budget: int) -> SolveResult:
+    """The SCC decider for ``scc``, or ``auto`` at k = 2; else complete search."""
+    if decider == "scc" or (decider == "auto" and f.k == 2):
+        return solve_2rsat_scc(f)
+    return solve_complete(f, budget=budget)
+
+
 def _run_cell(args) -> SweepResult:
     cfg, vspec, n, c, cell_seed = args
     m = clause_count(c, n)
-    use_scc = cfg.decider == "scc" or (cfg.decider == "auto" and cfg.k == 2)
     sat = 0
     limited = 0
     for trial in range(cfg.trials):
@@ -95,15 +107,9 @@ def _run_cell(args) -> SweepResult:
         # draws to ranks to verdict: no Fraction, Literal or Formula
         f = compile_slots(cfg.k, n, *draw_slots(gen))
         try:
-            if use_scc:
-                result = solve_2rsat_scc(f)
-            else:
-                result = solve_complete(f, budget=cfg.budget)
+            sat += decide(f, cfg.decider, cfg.budget).sat
         except ResourceLimit:
             limited += 1
-            continue
-        if result.sat:
-            sat += 1
     decided = cfg.trials - limited
     if decided > 0:
         p_hat = sat / decided

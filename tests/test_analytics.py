@@ -148,6 +148,12 @@ def test_exact_factorial_moment_example():
     assert exact_factorial_moment(5, 3, 2, [0, 0, 0, 0, 0]) == F(1)
 
 
+@pytest.mark.parametrize("n, m, k", [(0, 1, 2), (-1, 1, 2), (2, -3, 2), (2, 2, 0), (2, 2, -2)])
+def test_exact_factorial_moment_rejects_impossible_sizes(n, m, k):
+    with pytest.raises(DomainError, match=f"got n={n}, m={m}, k={k}$"):
+        exact_factorial_moment(n, m, k, [1] * max(n, 0))
+
+
 def test_exact_factorial_moment_by_enumeration():
     # n=2, k=2, m=2: enumerate all 2^4 slot assignments exactly
     n, km = 2, 4

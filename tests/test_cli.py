@@ -294,6 +294,10 @@ def test_moments_output(capsys):
         # the exact moment fits a double; the Monte Carlo variance does not
         (("--n", "2", "--m", "100", "--d", "100,0", "--mc", "20"), "error:", "double range"),
         (("--n", "2", "--d", "2,0", "--mc", "-5"), "usage error:", "--mc must be >= 0, got -5"),
+        # impossible sizes are out of the moment's domain, not a bad --d list
+        (("--m", "-3", "--d", "1,0", "--mc", "3"), "error:", "got n=2, m=-3, k=2"),
+        (("--k", "-2", "--d", "1,0", "--mc", "3"), "error:", "got n=2, m=2, k=-2"),
+        (("--n", "0", "--d", "1"), "error:", "got n=0, m=2, k=2"),
     ],
 )
 def test_moments_rejections_are_one_line(capsys, argv, err_start, message):
@@ -303,6 +307,17 @@ def test_moments_rejections_are_one_line(capsys, argv, err_start, message):
     assert code == 1 and out == ""
     assert err.startswith(err_start) and message in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_solve_decides_by_the_sweep_rule(capsys, tmp_path, monkeypatch):
+    def limited(f, budget):
+        raise rsat.ResourceLimit("budget")
+
+    monkeypatch.setattr(rsat.sweep, "solve_complete", limited)
+    path = tmp_path / "f.rsat"
+    path.write_text("p rsat 2 2 1 continuous\n1:le:1/2 2:ge:1/2\n")
+    code, out, err = run(capsys, "solve", str(path), "--decider", "complete")
+    assert code == 3 and out == "" and err == "resource limit: budget\n"
 
 
 def test_solve_prints_unsat_alone(capsys, tmp_path):

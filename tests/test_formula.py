@@ -105,6 +105,25 @@ def test_bound_without_integer_parts_is_a_type_error():
         vspec_contains(CONTINUOUS, 0.5)
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Literal(1.5, Rel.LE, F(1, 2)), "variable index must be an int, got float"),
+        (lambda: Literal(True, Rel.LE, F(1, 2)), "variable index must be an int, got bool"),
+        (lambda: Literal(0.5, Rel.LE, F(1, 2)), "variable index must be an int, got float"),
+        (lambda: Formula(2.0, 2, (), CONTINUOUS), "clause width k must be an int, got float"),
+        (lambda: Formula(2, 2.0, (), CONTINUOUS), "variable count must be an int, got float"),
+        (lambda: Formula(2, True, (), CONTINUOUS), "variable count must be an int, got bool"),
+    ],
+    ids=["var-float", "var-bool", "var-float-below-1", "k-float", "n-float", "n-bool"],
+)
+def test_indices_and_sizes_must_be_ints(make, message):
+    # each was once accepted (or met a range check first) and rendered a file
+    # the parser rejects, such as "1.5:le:1/2" or "p rsat 2 2.0 0 continuous"
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        make()
+
+
 def test_vspec_validation():
     with pytest.raises(ValueError):
         Finite(1)

@@ -4,6 +4,9 @@ every name it imports and catches only errors it names (no bare
 package reads every private name it defines at top level, and every name
 the package exports or a package module defines publicly at top level is
 read somewhere in the source, the tests, the scripts or the benchmark.
+Two scans keep one path per job in the package: only ``sweep.decide``
+calls a decider outside ``solver.py``, and no module calls ``open`` twice
+with one mode.
 
 A stdlib-only stand-in for a linter's unused-import, broad-except and
 dead-code rules.  The package's ``__init__.py`` is left out of the import
@@ -170,3 +173,73 @@ def test_every_public_name_is_read():
             for name, line in top_level_names(ast.parse(path.read_text(encoding="utf-8")))
             if not name.startswith("_") and name not in read]
     assert dead == []
+
+
+DECIDER_NAMES = {"solve_2rsat_scc", "solve_complete"}
+
+
+def call_name(node: ast.Call):
+    """The called name, bare or as an attribute, or None."""
+    func = node.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def decider_calls(source: str) -> list[str]:
+    """Calls of a decider, each with the top-level definition it sits in."""
+    found = []
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", "<module>")
+        found += [(node.lineno, f"{call_name(node)} in {owner}") for node in ast.walk(top)
+                  if isinstance(node, ast.Call) and call_name(node) in DECIDER_NAMES]
+    return [f"line {line}: {call}" for line, call in sorted(found)]
+
+
+def test_scan_finds_decider_calls():
+    source = (
+        "from rsat import solver\n"
+        "def decide(f):\n    return solve_complete(f)\n"
+        "class C:\n    def m(self, f):\n        return solver.solve_2rsat_scc(f)\n"
+        "x = solve_complete(None) or solve_2rsat_scc(None)\n"
+        "alias = solve_complete\n"
+    )
+    assert decider_calls(source) == [
+        "line 3: solve_complete in decide", "line 6: solve_2rsat_scc in C",
+        "line 7: solve_2rsat_scc in <module>", "line 7: solve_complete in <module>",
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "solver.py"),
+                         ids=lambda p: p.name)
+def test_only_sweep_decide_calls_a_decider(path):
+    calls = decider_calls(path.read_text(encoding="utf-8"))
+    if path.name == "sweep.py":
+        inside = [call for call in calls if call.endswith(" in decide")]
+        assert len(inside) == 2  # the scan sees the one rule's two calls
+        calls = [call for call in calls if call not in inside]
+    assert calls == []
+
+
+def repeated_open_modes(source: str) -> list[str]:
+    """Modes the module passes to more than one call of the builtin ``open``,
+    with the lines of those calls; a call without a mode opens ``"r"``."""
+    lines = {}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "open":
+            given = node.args[1:2] or [kw.value for kw in node.keywords if kw.arg == "mode"]
+            mode = ast.unparse(given[0]) if given else "'r'"
+            lines.setdefault(mode, []).append(node.lineno)
+    return [f"mode {mode}: lines {', '.join(map(str, sorted(found)))}"
+            for mode, found in sorted(lines.items()) if len(found) > 1]
+
+
+def test_scan_finds_a_mode_opened_twice():
+    source = (
+        "a = open('a')\nb = open('b', 'r')\nc = open('c', mode='w')\n"
+        "d = open('d', 'w', encoding='utf-8')\ne = open('e', 'rb')\nf = path.open('w')\n"
+    )
+    assert repeated_open_modes(source) == ["mode 'r': lines 1, 2", "mode 'w': lines 3, 4"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_opens_each_mode_once(path):
+    assert repeated_open_modes(path.read_text(encoding="utf-8")) == []

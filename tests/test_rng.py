@@ -53,6 +53,22 @@ def test_below_range_and_rough_uniformity():
         Stream(0).below(0)
 
 
+def test_below_takes_n_up_to_2_to_the_64():
+    # at n = 2^64 every 64-bit draw is in range, so the draw is next_u64 itself
+    a, b, fresh = Stream(8), Stream(8), Stream(8)
+    assert a.below(1 << 64) == b.below_fn(1 << 64)() == fresh.next_u64()
+    assert a.next_u64() == b.next_u64() == fresh.next_u64()
+
+
+@pytest.mark.parametrize("method", ["below", "below_fn"])
+@pytest.mark.parametrize("n", [0, -3, (1 << 64) + 1, 1 << 65])
+def test_below_rejects_n_outside_1_to_2_to_the_64_before_drawing(method, n):
+    s, fresh = Stream(3), Stream(3)
+    with pytest.raises(ValueError, match=r"^below\(\) requires n >= 1 and n <= 2\^64$"):
+        getattr(s, method)(n)
+    assert s.next_u64() == fresh.next_u64()
+
+
 def test_dyadic53_is_exact_53_bit_rational():
     s = Stream(5)
     for _ in range(100):

@@ -27,7 +27,7 @@ from rsat import (
     stream_seed,
 )
 from rsat.solver import _check_witness, compile_formula
-from rsat.sweep import CSV_HEADER
+from rsat.sweep import CSV_HEADER, DECIDERS, decide
 
 
 def small_config(**overrides):
@@ -241,6 +241,34 @@ def test_sweep_verdicts_match_sample_formula_and_decider(k, decider, distinct, m
     ]
     assert any(r.m == 0 for r in results) and (distinct or any(r.n == 1 for r in results))
     assert vacuous > 0 and 0 < sum(expected) < len(expected)
+
+
+@pytest.mark.parametrize("compiled", [False, True], ids=["Formula", "CompiledFormula"])
+@pytest.mark.parametrize(
+    "k, decider, expected",
+    [
+        (2, "auto", "solve_2rsat_scc"),
+        (2, "scc", "solve_2rsat_scc"),
+        (2, "complete", "solve_complete"),
+        (3, "auto", "solve_complete"),
+        (3, "complete", "solve_complete"),
+    ],
+)
+def test_decide_runs_one_decider(k, decider, expected, compiled, monkeypatch):
+    assert decider in DECIDERS
+    f = sample_formula(GenConfig(k=k, n=6, m=4, seed=13))
+    if compiled:
+        f = compile_formula(f)
+    calls = []
+    for name in ("solve_2rsat_scc", "solve_complete"):
+        def recorder(g, *args, _name=name, **kwargs):
+            calls.append((_name, g is f, args, kwargs))
+            return _name
+
+        monkeypatch.setattr(rsat.sweep, name, recorder)
+    assert decide(f, decider, 77) == expected
+    budget = {} if expected == "solve_2rsat_scc" else {"budget": 77}
+    assert calls == [(expected, True, (), budget)]  # budget goes by keyword
 
 
 def test_rank_witness_check_raises_on_corrupted_witness():
