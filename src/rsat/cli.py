@@ -72,7 +72,8 @@ def _build_parser() -> _Parser:
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--distinct", action="store_true", help="distinct variables per clause")
     p_gen.add_argument(
-        "--distinct-thresholds", action="store_true", help="resample colliding right-hand sides"
+        "--distinct-thresholds", action="store_true",
+        help="resample colliding right-hand sides; V \\ {1} must hold k*m distinct sides",
     )
     p_gen.add_argument("--out", default=None)
 
@@ -128,14 +129,18 @@ def _build_parser() -> _Parser:
 
 
 def _read_text(path) -> str:
-    """The text of the file at ``path``, or of stdin when ``path`` is None."""
-    if path is None:
-        return sys.stdin.read()
+    """The text of the file at ``path``, or of stdin when ``path`` is None;
+    bytes that are not UTF-8 are a parse error at the line of the first one."""
     try:
+        if path is None:  # a C or POSIX locale reads stdin with surrogateescape
+            return sys.stdin.read().encode("utf-8", "surrogateescape").decode("utf-8")
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"byte 0x{exc.object[exc.start]:02x} is not UTF-8", line) from None
 
 
 def _read_formula(args) -> Formula:

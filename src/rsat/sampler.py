@@ -12,7 +12,10 @@ Every slot receives an encoded right-hand side ``a`` uniform over
 ``V \\ {1}``, drawn as a numerator over the value set's common
 denominator D (:func:`slot_denominator`).  A ``<=`` slot stores bound
 ``a`` directly; a ``>=`` slot stores bound ``1 - a`` (uniform over
-``V \\ {0}``), so no innocuous literal is ever produced.
+``V \\ {0}``), so no innocuous literal is ever produced.  With
+``distinct_thresholds`` a used side is redrawn, with no cap on redraws:
+:class:`GenConfig` refuses a request with fewer than k*m sides before the
+first draw.
 
 Two couplings relate formulas over different value sets.  Each is an
 integer map of one slot's encoded side, applied in slot order by one loop
@@ -47,6 +50,12 @@ OccurrenceProfile = Sequence[int]
 
 @dataclass(frozen=True)
 class GenConfig:
+    """One sampling request.  Six rules are checked when it is built, before
+    any draw: k >= 2; n >= 1; m >= 0; k <= n with ``distinct_vars_per_clause``;
+    a slot denominator D (:func:`slot_denominator`) of at most 2^64, since one
+    64-bit draw makes each encoded side; and D >= k*m with
+    ``distinct_thresholds``, since V \\ {1} holds only D encoded sides."""
+
     k: int
     n: int
     m: int
@@ -65,6 +74,16 @@ class GenConfig:
         if self.distinct_vars_per_clause and self.k > self.n:
             raise InvalidConfig(
                 f"distinct variables per clause impossible: k={self.k} > n={self.n}"
+            )
+        sides = slot_denominator(self.vspec)
+        if sides > 1 << 64:
+            raise InvalidConfig(
+                f"{self.vspec} has more than 2^64 encoded sides; one 64-bit draw makes each side"
+            )
+        if self.distinct_thresholds and sides < self.k * self.m:
+            raise InvalidConfig(
+                f"distinct thresholds impossible: {self.vspec} has {sides} encoded sides"
+                f" for k*m = {self.k * self.m} slots"
             )
 
 
@@ -88,7 +107,9 @@ def _draw_distinct_vars(picks) -> list[int]:
 
 def _draw_slots(cfg: GenConfig, stream: Stream, copies: Optional[list[int]]):
     """The one draw loop: per clause the k variables (unless ``copies`` fixes
-    them), then per slot the relation coin and the encoded side a."""
+    them), then per slot the relation coin and the encoded side a.  With
+    ``distinct_thresholds`` a used side is redrawn until a new one comes, with
+    no cap: :class:`GenConfig` has checked that enough sides exist."""
     k, n = cfg.k, cfg.n
     denominator = slot_denominator(cfg.vspec)
     side, pick, coin = stream.below_fn(denominator), stream.below_fn(n), stream.next_u64
@@ -106,12 +127,8 @@ def _draw_slots(cfg: GenConfig, stream: Stream, copies: Optional[list[int]]):
             e = coin() >> 63
             a = side()
             if used is not None:
-                for _ in range(1000):
-                    if a not in used:
-                        break
+                while a in used:
                     a = side()
-                if a in used:
-                    raise InvalidConfig("cannot draw globally distinct right-hand sides")
                 used.add(a)
             var.append(j)
             ge.append(e)

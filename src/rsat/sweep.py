@@ -66,6 +66,9 @@ class SweepConfig:
             raise InvalidConfig(f"unknown decider {self.decider!r}")
         if self.decider == "scc" and self.k != 2:
             raise InvalidConfig("the scc decider requires k = 2")
+        for vspec in self.vspecs:  # GenConfig's own rules, before the first cell
+            for n in self.n_values:
+                GenConfig(self.k, n, 0, vspec, self.distinct_vars_per_clause)
 
 
 @dataclass(frozen=True)

@@ -163,6 +163,27 @@ def test_bad_vspec_token_is_usage_error(capsys, argv):
     assert err.startswith("usage error: argument --v: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("gen", "--k", "2", "--n", "4", "--m", "2", "--v", "dyadic:65"),
+    ("sweep", "--k", "2", "--v", "dyadic:65", "--n", "20", "--c", "1", "--trials", "2"),
+])
+def test_oversize_vspec_is_one_error_line(capsys, argv):
+    # 2^65 encoded sides: more than one 64-bit draw can make
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "2^64" in err and "Traceback" not in err
+
+
+def test_sweep_rejects_a_bad_n_before_the_first_trial(capsys, monkeypatch):
+    decided = []
+    monkeypatch.setattr("rsat.sweep.decide", lambda *args: decided.append(args))
+    code, out, err = run(capsys, "sweep", "--k", "2", "--v", "continuous", "--n", "10",
+                         "--n", "0", "--c", "1", "--trials", "1")
+    assert code == 1 and out == "" and decided == []
+    assert err == "error: n must be >= 1, got 0\n"
+
+
 def test_sweep_csv_stdout(capsys):
     code, out, err = run(
         capsys, "sweep", "--k", "2", "--v", "finite:2", "--n", "20",
@@ -359,6 +380,46 @@ def test_cert_verify_missing_cert_is_parse_error(capsys, tmp_path):
     code, out, err = run(capsys, "cert", "verify", str(path), "--cert", str(tmp_path / "none"))
     assert code == 2 and out == ""
     assert err.startswith("parse error: cannot read")
+
+
+NOT_UTF8 = b"p rsat 2 1 1 continuous\n1:le:\xff/2 1:ge:1/2\n"
+
+
+def test_solve_on_a_file_that_is_not_utf8_is_a_parse_error(capsys, tmp_path):
+    path = tmp_path / "f.rsat"
+    path.write_bytes(NOT_UTF8)
+    code, out, err = run(capsys, "solve", str(path))
+    assert code == 2 and out == ""
+    assert err == "parse error: line 2: byte 0xff is not UTF-8\n"
+
+
+def test_cert_verify_on_a_cert_that_is_not_utf8_is_a_parse_error(capsys, tmp_path):
+    path, cert = tmp_path / "f.rsat", tmp_path / "bad.cert"
+    path.write_text("p rsat 2 2 1 continuous\n1:le:1/2 2:ge:1/2\n")
+    cert.write_bytes(b"cert bicycle 1 0 0\n0 1:le:1/2 \xc3(\n")
+    code, out, err = run(capsys, "cert", "verify", str(path), "--cert", str(cert))
+    assert code == 2 and out == ""
+    assert err == "parse error: line 2: byte 0xc3 is not UTF-8\n"
+
+
+def test_stdin_that_is_not_utf8_is_a_parse_error(capsys, monkeypatch):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(NOT_UTF8), encoding="utf-8"))
+    code, out, err = run(capsys, "solve", "--stdin")
+    assert code == 2 and out == ""
+    assert err == "parse error: line 2: byte 0xff is not UTF-8\n"
+
+
+def test_process_stdin_that_is_not_utf8_is_a_parse_error():
+    # under the C locale Python reads stdin with surrogateescape, not strictly
+    src = str(Path(rsat.__file__).resolve().parent.parent)
+    env = dict(os.environ, LC_ALL="C", PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "rsat", "solve", "--stdin"],
+                          input=b"c \xff\n" + NOT_UTF8, capture_output=True, env=env, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == b""
+    assert proc.stderr == b"parse error: line 1: byte 0xff is not UTF-8\n"
 
 
 def test_gen_into_missing_directory_is_io_error(capsys, tmp_path):

@@ -25,6 +25,9 @@ from rsat import (
     sample_formula_given_profile,
     truncate_thresholds,
 )
+from rsat.sampler import draw_slots, slot_denominator
+from rsat.solver import compile_formula, compile_slots
+
 from oracles import three_sigma
 
 
@@ -95,6 +98,25 @@ def test_distinct_thresholds_switch():
     assert len(set(sides)) == len(sides)
     with pytest.raises(InvalidConfig):  # only 1 available side for 4 slots
         sample_formula(GenConfig(k=2, n=2, m=2, vspec=Finite(2), seed=1, distinct_thresholds=True))
+    # at capacity: Finite(2001) has 2000 encoded sides for 2000 slots
+    for seed in range(20):
+        f = sample_formula(GenConfig(k=2, n=50, m=1000, vspec=Finite(2001), seed=seed,
+                                     distinct_thresholds=True))
+        assert len({lit.encoded_rhs() for cl in f.clauses for lit in cl}) == 2000
+    with pytest.raises(InvalidConfig, match="2000 encoded sides for k\\*m = 2002 slots"):
+        GenConfig(k=2, n=50, m=1001, vspec=Finite(2001), distinct_thresholds=True)
+
+
+@pytest.mark.parametrize("token", ["dyadic:64", "finite:18446744073709551617"])
+def test_a_grid_of_2_to_the_64_samples_parses_and_decides(token):
+    # the largest slot denominator one 64-bit draw covers
+    cfg = GenConfig(k=2, n=6, m=9, vspec=rsat.vspec_from_token(token), seed=3)
+    assert slot_denominator(cfg.vspec) == 1 << 64
+    f = sample_formula(cfg)
+    assert rsat.parse_formula(rsat.render_formula(f)) == f
+    verdict = rsat.solve_2rsat_scc(compile_formula(f)).sat
+    assert rsat.solve_2rsat_scc(compile_slots(2, 6, *draw_slots(cfg))).sat == verdict
+    assert rsat.solve_complete(compile_formula(f)).sat == verdict
 
 
 # ---------------------------------------------------------------------------

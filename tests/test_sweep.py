@@ -61,6 +61,15 @@ def test_config_validation():
         small_config(k=3, decider="scc")
     with pytest.raises(InvalidConfig, match="must be non-empty"):
         small_config(vspecs=())
+    # GenConfig's rules, for every (V, n), when the sweep is built
+    with pytest.raises(InvalidConfig, match="k must be >= 2, got 1"):
+        small_config(k=1)
+    with pytest.raises(InvalidConfig, match="n must be >= 1, got 0"):
+        small_config(n_values=(30, 0))
+    with pytest.raises(InvalidConfig, match="k=3 > n=2"):
+        small_config(k=3, n_values=(2,), distinct_vars_per_clause=True)
+    with pytest.raises(InvalidConfig, match="more than 2\\^64 encoded sides"):
+        small_config(vspecs=(Finite(2), Dyadic(65)))
 
 
 @pytest.mark.parametrize("budget", [0, -1])
