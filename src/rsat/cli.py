@@ -31,7 +31,7 @@ from .fileformat import (
     render_formula,
     vspec_from_token,
 )
-from .formula import Formula, TruthValueSpec
+from .formula import TruthValueSpec
 from .rng import Stream
 from .sampler import GenConfig, sample_formula
 from .solver import DEFAULT_NODE_BUDGET, check_budget
@@ -79,7 +79,6 @@ def _build_parser() -> _Parser:
 
     p_solve = sub.add_parser("solve", help="decide a formula file")
     p_solve.add_argument("file", nargs="?", default=None)
-    p_solve.add_argument("--stdin", action="store_true")
     p_solve.add_argument("--decider", choices=DECIDERS, default="auto")
     p_solve.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
 
@@ -91,13 +90,11 @@ def _build_parser() -> _Parser:
              for kind in ("bicycle", "snake")}
     for p_kind in kinds.values():
         p_kind.add_argument("file", nargs="?", default=None)
-        p_kind.add_argument("--stdin", action="store_true")
         p_kind.add_argument("--out", default=None)
     kinds["snake"].add_argument("--budget", type=int, default=DEFAULT_FIND_BUDGET,
                                 help="search steps")
     p_verify = cert_sub.add_parser("verify", help="check a certificate against a formula")
     p_verify.add_argument("file", nargs="?", default=None)
-    p_verify.add_argument("--stdin", action="store_true")
     p_verify.add_argument("--cert", required=True)
 
     p_sweep = sub.add_parser("sweep", help="Monte Carlo satisfiability sweep, CSV output")
@@ -143,10 +140,6 @@ def _read_text(path) -> str:
         raise ParseError(f"byte 0x{exc.object[exc.start]:02x} is not UTF-8", line) from None
 
 
-def _read_formula(args) -> Formula:
-    return parse_formula(_read_text(None if args.stdin else args.file))
-
-
 def _write_out(text: str, path) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -171,7 +164,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_solve(args) -> int:
     check_budget(args.budget)
-    result = decide(_read_formula(args), args.decider, args.budget)
+    result = decide(parse_formula(_read_text(args.file)), args.decider, args.budget)
     if result.sat:
         print("SAT")
         for var in sorted(result.witness):
@@ -186,7 +179,7 @@ def _cmd_cert(args) -> int:
     if args.cert_command == "find":
         if args.kind == "snake":
             check_budget(args.budget)
-        f = _read_formula(args)
+        f = parse_formula(_read_text(args.file))
         outcome = find_bicycle(f) if args.kind == "bicycle" else find_snake(f, args.budget)
         if outcome is None:
             print("NONE")
@@ -194,7 +187,7 @@ def _cmd_cert(args) -> int:
         _write_out(render_certificate(outcome), args.out)
         return EXIT_OK
 
-    f = _read_formula(args)
+    f = parse_formula(_read_text(args.file))
     cert = parse_certificate(_read_text(args.cert))
     if isinstance(cert, Bicycle):
         ok = verify_bicycle(f, cert)
@@ -245,14 +238,11 @@ def _cmd_bounds(args) -> int:
         lines.append(f"unsat_bound_value_at_reference k={k} value={value:.6f}")
     for v in args.v or [2, 3, 4, 8, 16]:
         lines.append(f"width3_unsat_bound v={v} c={analytics.bejar_bound(v):.6f}")
-    # smallest v where the width-3 bound exceeds this k's root: v = ceil((8/7)^root);
+    # smallest v where the width-3 bound exceeds this k's root: v = floor((8/7)^root) + 1;
     # a double fixes the integer only below 2^53, so above it print v's order
     log_v = root * math.log(8.0 / 7.0)
     if log_v < 53 * math.log(2.0):
-        crossover = max(2, math.floor(math.exp(log_v)) + 1)
-        while analytics.bejar_bound(crossover - 1) > root and crossover > 2:
-            crossover -= 1
-        lines.append(f"crossover_v k={k} v={crossover}")
+        lines.append(f"crossover_v k={k} v={math.floor(math.exp(log_v)) + 1}")
     else:
         lines.append(f"crossover_v k={k} v=>10^{math.floor(log_v / math.log(10.0))}")
     print("\n".join(lines))  # only once every line is computed: an error prints none

@@ -38,6 +38,7 @@ from .errors import ParseError
 from .formula import (
     CONTINUOUS,
     ClauseError,
+    Continuous,
     Dyadic,
     Finite,
     Formula,
@@ -68,7 +69,9 @@ def vspec_to_token(vspec: TruthValueSpec) -> str:
         return f"finite:{vspec.v}"
     if isinstance(vspec, Dyadic):
         return f"dyadic:{vspec.lam}"
-    return "continuous"
+    if isinstance(vspec, Continuous):
+        return "continuous"
+    raise TypeError(f"not a truth-value set: {vspec!r}")
 
 
 def vspec_from_token(token: str, line: int | None = None) -> TruthValueSpec:

@@ -8,10 +8,11 @@ are reproducible bit for bit; no floating point enters the semantics.
 The checks read a bound's integer numerator and denominator (a Fraction is
 in lowest terms with a positive denominator), so each is an exact integer
 test, and a bound without them, such as a float, is a TypeError; so is a
-variable index, k or n that is not exactly an int (a bool is not).  Each rule
-is checked once: a `Literal` checks its variable, bound range and relation,
-and a `Formula` only what needs k, n or V (the width, x <= n, a bound
-denominator that divides V's grid, and repeats where they are forbidden).
+variable index, k, n, v or lam that is not exactly an int (a bool is not),
+and a V that is not a Finite, Dyadic or Continuous.  Each rule is checked
+once: a `Literal` checks its variable, bound range and relation, and a
+`Formula` only what needs k, n or V (the width, x <= n, a bound denominator
+that divides V's grid, and repeats where they are forbidden).
 
 Truth-value sets come in three families:
 
@@ -46,11 +47,17 @@ ONE = Fraction(1)
 # Truth-value sets
 
 
+def _not_int(what: str, x) -> TypeError:
+    return TypeError(f"{what} must be an int, got {type(x).__name__}")
+
+
 @dataclass(frozen=True)
 class Finite:
     v: int
 
     def __post_init__(self):
+        if type(self.v) is not int:
+            raise _not_int("Finite v", self.v)
         if self.v < 2:
             raise ValueError(f"Finite truth-value set needs v >= 2, got {self.v}")
 
@@ -60,6 +67,8 @@ class Dyadic:
     lam: int
 
     def __post_init__(self):
+        if type(self.lam) is not int:
+            raise _not_int("Dyadic lam", self.lam)
         if self.lam < 0:
             raise ValueError(f"Dyadic truth-value set needs lam >= 0, got {self.lam}")
 
@@ -75,7 +84,8 @@ CONTINUOUS = Continuous()
 
 
 def vspec_grid(vspec: TruthValueSpec) -> int:
-    """The grid g of V: v-1 for Finite(v), 2^lam for Dyadic(lam), 0 otherwise.
+    """The grid g of V: v-1 for Finite(v), 2^lam for Dyadic(lam), 0 for
+    Continuous; any other object is a TypeError.
 
     A finite or dyadic V is {u/g : u = 0..g}.  A bound in [0, 1] lies in V
     iff its reduced denominator divides g; every denominator divides 0, so
@@ -85,7 +95,9 @@ def vspec_grid(vspec: TruthValueSpec) -> int:
         return vspec.v - 1
     if isinstance(vspec, Dyadic):
         return 1 << vspec.lam
-    return 0
+    if isinstance(vspec, Continuous):
+        return 0
+    raise TypeError(f"not a truth-value set: {vspec!r}")
 
 
 def vspec_cardinality(vspec: TruthValueSpec) -> Optional[int]:
@@ -104,10 +116,6 @@ def vspec_values(vspec: TruthValueSpec) -> list[Fraction]:
 
 def _not_rational(x) -> TypeError:
     return TypeError(f"bound must be an exact rational (Fraction or int), got {type(x).__name__}")
-
-
-def _not_int(what: str, x) -> TypeError:
-    return TypeError(f"{what} must be an int, got {type(x).__name__}")
 
 
 def vspec_contains(vspec: TruthValueSpec, x: Fraction) -> bool:

@@ -218,6 +218,8 @@ def couple_increase_v(f: Formula, seed: int) -> Formula:
     if not isinstance(f.vspec, Finite):
         raise WrongVspec(f"couple_increase_v needs a Finite formula, got {f.vspec}")
     v = f.vspec.v
+    if v > 1 << 64:  # each bump is one below(v) draw from a 64-bit word
+        raise WrongVspec(f"couple_increase_v needs v <= 2^64, got {f.vspec}")
     below_v = Stream(seed).below_fn(v)
 
     def bump(p: int, q: int) -> int:
@@ -234,10 +236,9 @@ def truncate_thresholds(f: Formula, lam: int) -> Formula:
     literal (<= bounds drop, >= bounds rise), so satisfiability at lam
     implies satisfiability at every lam' >= lam under shared bit streams.
     """
-    if lam < 0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
+    vspec = Dyadic(lam)  # checks lam before the shift
     scale = 1 << lam
-    return _map_sides(f, Dyadic(lam), lambda p, q: p * scale // q)
+    return _map_sides(f, vspec, lambda p, q: p * scale // q)
 
 
 def min_safe_lambda(f: Formula) -> int:

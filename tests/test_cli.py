@@ -43,9 +43,38 @@ def test_solve_reads_stdin(capsys, monkeypatch):
 
     code, out, _ = run(capsys, "gen", "--k", "2", "--n", "6", "--m", "12", "--seed", "9")
     monkeypatch.setattr("sys.stdin", io.StringIO(out))
-    code, solved, _ = run(capsys, "solve", "--stdin")
+    code, solved, _ = run(capsys, "solve")
     assert code == 0
     assert solved.splitlines()[0] in ("SAT", "UNSAT")
+
+
+FORMULA_READERS = {"solve": ["solve"], "find-bicycle": ["cert", "find", "bicycle"],
+                   "find-snake": ["cert", "find", "snake"],
+                   "verify": ["cert", "verify", "--cert", "snake.cert"]}
+
+
+@pytest.mark.parametrize("argv", FORMULA_READERS.values(), ids=FORMULA_READERS)
+def test_no_file_reads_the_formula_from_stdin(capsys, monkeypatch, tmp_path, argv):
+    import io
+
+    from test_certificates import planted_snake
+
+    f, snake = planted_snake(6)
+    text = rsat.render_formula(f)
+    (tmp_path / "f.rsat").write_text(text)
+    (tmp_path / "snake.cert").write_text(rsat.render_certificate(snake))
+    monkeypatch.chdir(tmp_path)
+    code, from_file, err = run(capsys, *argv, "f.rsat")
+    assert code == 0 and err == "" and from_file
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert run(capsys, *argv) == (0, from_file, "")
+
+
+@pytest.mark.parametrize("argv", FORMULA_READERS.values(), ids=FORMULA_READERS)
+def test_stdin_flag_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv, "--stdin")
+    assert code == 1 and out == ""
+    assert err == "usage error: unrecognized arguments: --stdin\n"
 
 
 def test_usage_error_exit_code(capsys):
@@ -406,7 +435,7 @@ def test_stdin_that_is_not_utf8_is_a_parse_error(capsys, monkeypatch):
     import io
 
     monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(NOT_UTF8), encoding="utf-8"))
-    code, out, err = run(capsys, "solve", "--stdin")
+    code, out, err = run(capsys, "solve")
     assert code == 2 and out == ""
     assert err == "parse error: line 2: byte 0xff is not UTF-8\n"
 
@@ -416,7 +445,7 @@ def test_process_stdin_that_is_not_utf8_is_a_parse_error():
     src = str(Path(rsat.__file__).resolve().parent.parent)
     env = dict(os.environ, LC_ALL="C", PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-m", "rsat", "solve", "--stdin"],
+    proc = subprocess.run([sys.executable, "-m", "rsat", "solve"],
                           input=b"c \xff\n" + NOT_UTF8, capture_output=True, env=env, timeout=60)
     assert proc.returncode == 2 and proc.stdout == b""
     assert proc.stderr == b"parse error: line 1: byte 0xff is not UTF-8\n"

@@ -35,6 +35,13 @@ def test_vspec_tokens():
             vspec_from_token(bad)
 
 
+@pytest.mark.parametrize("vspec", ["finite:3", None], ids=["token", "None"])
+def test_only_a_value_set_has_a_token(vspec):
+    # only CONTINUOUS renders as "continuous"
+    with pytest.raises(TypeError, match="^not a truth-value set: "):
+        vspec_to_token(vspec)
+
+
 @pytest.mark.parametrize(
     "vspec", [Finite(2), Finite(7), Dyadic(0), Dyadic(4), CONTINUOUS]
 )

@@ -23,6 +23,7 @@ from rsat import (
     vspec_contains,
     vspec_values,
 )
+from rsat.formula import vspec_grid
 
 
 def le(var, num, den=1):
@@ -129,6 +130,30 @@ def test_vspec_validation():
         Finite(1)
     with pytest.raises(ValueError):
         Dyadic(-1)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Finite(3.0), "Finite v must be an int, got float"),
+        (lambda: Finite(True), "Finite v must be an int, got bool"),
+        (lambda: Dyadic(2.0), "Dyadic lam must be an int, got float"),
+    ],
+    ids=["v-float", "v-bool", "lam-float"],
+)
+def test_value_set_parameters_must_be_ints(make, message):
+    # a float v renders "finite:3.0", which the parser rejects
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        make()
+
+
+@pytest.mark.parametrize("vspec", ["finite:3", None], ids=["token", "None"])
+def test_an_object_that_is_not_a_value_set_is_a_type_error(vspec):
+    # only CONTINUOUS is the continuous set; nothing else falls through to it
+    with pytest.raises(TypeError, match="^not a truth-value set: "):
+        vspec_grid(vspec)
+    with pytest.raises(TypeError, match="^not a truth-value set: "):
+        Formula(2, 1, (), vspec)
 
 
 # ---------------------------------------------------------------------------

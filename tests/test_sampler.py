@@ -42,6 +42,13 @@ def test_invalid_config():
         GenConfig(k=2, n=5, m=-1)
 
 
+@pytest.mark.parametrize("vspec", ["finite:3", None], ids=["token", "None"])
+def test_a_config_over_an_object_that_is_not_a_value_set_is_a_type_error(vspec):
+    # only CONTINUOUS samples continuous bounds
+    with pytest.raises(TypeError, match="^not a truth-value set: "):
+        GenConfig(k=2, n=3, m=2, vspec=vspec)
+
+
 def test_determinism_bit_identical():
     cfg = GenConfig(k=3, n=20, m=40, vspec=CONTINUOUS, seed=987654321)
     assert sample_formula(cfg) == sample_formula(cfg)
@@ -167,6 +174,15 @@ def test_couple_requires_finite():
         couple_increase_v(f, seed=0)
 
 
+def test_couple_refuses_v_above_2_to_the_64_before_any_draw():
+    # Finite(2^64 + 1) samples (its grid is 2^64), but a bump draws below(v)
+    f = sample_formula(GenConfig(k=2, n=3, m=2, vspec=Finite(2**64 + 1), seed=1))
+    with pytest.raises(WrongVspec, match="needs v <= 2\\^64"):
+        couple_increase_v(f, seed=0)
+    g = sample_formula(GenConfig(k=2, n=3, m=2, vspec=Finite(2**64), seed=1))
+    assert couple_increase_v(g, seed=0).vspec == Finite(2**64 + 1)
+
+
 def test_couple_shape_and_step():
     v = 4
     f = sample_formula(GenConfig(k=2, n=6, m=25, vspec=Finite(v), seed=41))
@@ -272,6 +288,15 @@ def test_truncate_examples():
     ge_lit = Literal(1, Rel.GE, F(3, 8))  # encoded 0.101
     g2 = truncate_thresholds(Formula(2, 1, ((ge_lit, ge_lit),), CONTINUOUS), 2)
     assert g2.clauses[0][0].bound == F(1, 2)  # encoded floor 1/2, bound 1 - 1/2
+
+
+def test_truncate_depth_is_checked_by_dyadic():
+    lit = Literal(1, Rel.LE, F(5, 8))
+    f = Formula(2, 1, ((lit, lit),), CONTINUOUS)
+    with pytest.raises(ValueError, match="needs lam >= 0, got -1"):
+        truncate_thresholds(f, -1)
+    with pytest.raises(TypeError, match="^Dyadic lam must be an int, got float$"):
+        truncate_thresholds(f, 1.5)
 
 
 def test_truncate_only_strengthens():

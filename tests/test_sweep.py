@@ -72,6 +72,13 @@ def test_config_validation():
         small_config(vspecs=(Finite(2), Dyadic(65)))
 
 
+@pytest.mark.parametrize("vspec", ["finite:3", None], ids=["token", "None"])
+def test_a_sweep_over_an_object_that_is_not_a_value_set_is_a_type_error(vspec):
+    # only CONTINUOUS cells are labelled "continuous"
+    with pytest.raises(TypeError, match="^not a truth-value set: "):
+        small_config(vspecs=(Finite(2), vspec))
+
+
 @pytest.mark.parametrize("budget", [0, -1])
 def test_budget_below_one_is_rejected(budget):
     # a zero budget would count every complete-decider trial as limited
