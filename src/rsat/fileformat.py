@@ -11,11 +11,12 @@ with ``<vspec>`` one of ``finite:<v>``, ``dyadic:<lambda>``,
 ``continuous``.  Fractions must be in lowest terms with positive
 denominator, and every integer is written as ``str(int(field))`` gives
 it.  The literals of one file share one Fraction per bound text, so one
-per distinct bound.  `Formula` checks the clause rules (width k, variables
-in 1..n, bounds in V) and the parser names the offending line.  Errors
-come in this order: token errors (innocuous literals among them) in file
-order, then the first clause that breaks a clause rule, then a clause
-count other than the header's m.
+per distinct bound, and rendering writes each bound object's text once.
+`Formula` checks the clause rules (width k, variables in 1..n, bounds in
+V) and the parser names the offending line.  Errors come in this order:
+token errors (innocuous literals among them) in file order, then the
+first clause that breaks a clause rule, then a clause count other than
+the header's m.
 
 Certificate files::
 
@@ -90,8 +91,17 @@ def vspec_from_token(token: str, line: int | None = None) -> TruthValueSpec:
     raise ParseError(f"unknown truth-value set {token!r}", line)
 
 
-def literal_to_token(lit: Literal) -> str:
-    return f"{lit.var}:{lit.rel.value}:{lit.bound.numerator}/{lit.bound.denominator}"
+def _tokens(lits, texts: dict[int, str]) -> str:
+    """The literals' tokens, space-separated.  ``texts`` maps id(bound) to
+    its "num/den", so each bound object's text is written once per render
+    (keyed by id, as Fraction.__hash__ is Python code)."""
+    tokens = []
+    for var, rel, bound in lits:
+        text = texts.get(id(bound))
+        if text is None:
+            text = texts[id(bound)] = f"{bound.numerator}/{bound.denominator}"
+        tokens.append(f"{var}:{'le' if rel is Rel.LE else 'ge'}:{text}")
+    return " ".join(tokens)
 
 
 def literal_from_token(token: str, line: int | None, shared: dict[str, Fraction]) -> Literal:
@@ -133,8 +143,8 @@ def _content_lines(text: str):
 
 def render_formula(f: Formula) -> str:
     lines = [f"p rsat {f.k} {f.n} {f.m} {vspec_to_token(f.vspec)}"]
-    for clause in f.clauses:
-        lines.append(" ".join(literal_to_token(lit) for lit in clause))
+    texts: dict[int, str] = {}
+    lines.extend(_tokens(clause, texts) for clause in f.clauses)
     return "\n".join(lines) + "\n"
 
 
@@ -176,8 +186,9 @@ def render_certificate(cert: Bicycle | Snake) -> str:
         lines = [f"cert bicycle {cert.ell} {cert.i0} {cert.i1}"]
     else:
         lines = [f"cert snake {cert.ell}"]
-    for ci, (lead, trail) in zip(cert.clause_indices, cert.pairs):
-        lines.append(f"{ci} {literal_to_token(lead)} {literal_to_token(trail)}")
+    texts: dict[int, str] = {}
+    for ci, pair in zip(cert.clause_indices, cert.pairs):
+        lines.append(f"{ci} {_tokens(pair, texts)}")
     return "\n".join(lines) + "\n"
 
 

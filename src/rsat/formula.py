@@ -10,9 +10,15 @@ in lowest terms with a positive denominator), so each is an exact integer
 test, and a bound without them, such as a float, is a TypeError; so is a
 variable index, k, n, v or lam that is not exactly an int (a bool is not),
 and a V that is not a Finite, Dyadic or Continuous.  Each rule is checked
-once: a `Literal` checks its variable, bound range and relation, and a
+once: a `Literal` checks its variable, relation and bound range, and a
 `Formula` only what needs k, n or V (the width, x <= n, a bound denominator
 that divides V's grid, and repeats where they are forbidden).
+
+A `Literal` is an immutable, checked ``(var, rel, bound)`` tuple: it
+compares and hashes like that plain tuple (so it equals one with the same
+fields) and unpacks as ``var, rel, bound = lit``.  Every way to build one
+(the constructor, ``_replace``, ``_make``, pickle, ``copy``) runs the
+constructor's checks.
 
 Truth-value sets come in three families:
 
@@ -35,7 +41,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Optional, Union
+from typing import Mapping, NamedTuple, Optional, Union
 
 from .errors import MissingAssignment
 
@@ -140,27 +146,37 @@ class Rel(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class Literal:
-    """Inequality literal on variable ``var`` (1-based): value REL bound."""
-
+class _LiteralFields(NamedTuple):
     var: int
     rel: Rel
     bound: Fraction
 
-    def __post_init__(self):
-        if type(self.var) is not int:
-            raise _not_int("variable index", self.var)
-        if self.var < 1:
-            raise ValueError(f"variable index must be >= 1, got {self.var}")
+
+class Literal(_LiteralFields):
+    """Inequality literal on variable ``var`` (1-based): value REL bound."""
+
+    __slots__ = ()
+
+    def __new__(cls, var: int, rel: Rel, bound: Fraction):
+        if type(var) is not int:
+            raise _not_int("variable index", var)
+        if var < 1:
+            raise ValueError(f"variable index must be >= 1, got {var}")
+        if type(rel) is not Rel:
+            raise TypeError(f"relation must be a Rel, got {type(rel).__name__}")
         try:
-            num, den = self.bound.numerator, self.bound.denominator
+            num, den = bound.numerator, bound.denominator
         except AttributeError:
-            raise _not_rational(self.bound) from None
+            raise _not_rational(bound) from None
         if not 0 <= num <= den:
-            raise ValueError(f"bound outside [0, 1]: {self.bound}")
-        if (self.rel is Rel.LE and num == den) or (self.rel is Rel.GE and num == 0):
+            raise ValueError(f"bound outside [0, 1]: {bound}")
+        if (rel is Rel.LE and num == den) or (rel is Rel.GE and num == 0):
             raise ValueError("innocuous literal (x <= 1 or x >= 0) is forbidden")
+        return tuple.__new__(cls, (var, rel, bound))
+
+    @classmethod
+    def _make(cls, iterable):  # namedtuple's _replace builds through it
+        return cls(*iterable)
 
     def encoded_rhs(self) -> Fraction:
         """Right-hand side in the sampling encoding: bound for <=, 1-bound for >=.

@@ -1,4 +1,6 @@
+import copy
 import cProfile
+import pickle
 import pstats
 from fractions import Fraction as F
 
@@ -58,6 +60,22 @@ def test_formula_round_trip_distinct_model():
     again = parse_formula(render_formula(f))
     assert again == f
     assert again.distinct_vars_per_clause  # recomputed from the clauses
+
+
+def test_formula_survives_pickle_deepcopy_and_text():
+    f = sample_formula(GenConfig(k=2, n=20, m=40, vspec=Finite(5), seed=3))
+    for again in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f),
+                  parse_formula(render_formula(f))):
+        assert again == f and type(again.clauses[0][0]) is rsat.Literal
+
+
+def test_equal_bounds_render_alike_whether_shared_or_not():
+    f = sample_formula(GenConfig(k=2, n=20, m=40, vspec=Finite(5), seed=3))
+    unshared = tuple(tuple(lit._replace(bound=F(lit.bound.numerator, lit.bound.denominator))
+                           for lit in clause) for clause in f.clauses)
+    g = rsat.Formula(f.k, f.n, unshared, f.vspec)
+    assert g.clauses[0][0].bound is not f.clauses[0][0].bound
+    assert render_formula(g) == render_formula(f)
 
 
 @st.composite
@@ -164,18 +182,11 @@ def test_parse_bound_outside_v():
     assert "line 3" in str(err.value) and "bound 1/3 not in V of Finite(v=3)" in str(err.value)
 
 
-def test_parse_checks_each_bound_once():
-    f = sample_formula(GenConfig(k=3, n=9, m=15, vspec=Finite(5), seed=7))
-    profile = cProfile.Profile()
-    assert profile.runcall(parse_formula, render_formula(f)) == f
+def _calls(profile, fn) -> int:
+    """Calls of the Python function ``fn`` a cProfile run recorded."""
     stats = pstats.Stats(profile).stats  # (file, line, name) -> (cc, ncalls, ...)
-
-    def calls(fn) -> int:
-        code = fn.__code__
-        return stats[(code.co_filename, code.co_firstlineno, code.co_name)][1]
-
-    assert calls(rsat.Formula.__post_init__) == 1
-    assert calls(rsat.Literal.__post_init__) == f.k * f.m
+    code = fn.__code__
+    return stats[(code.co_filename, code.co_firstlineno, code.co_name)][1]
 
 
 def _fraction_count(profile) -> int:
@@ -183,6 +194,24 @@ def _fraction_count(profile) -> int:
     stats = pstats.Stats(profile).stats  # (file, line, name) -> (cc, ncalls, ...)
     return sum(s[1] for key, s in stats.items()
                if key[0].endswith("fractions.py") and key[2] == "__new__")
+
+
+def test_parse_checks_each_bound_once():
+    f = sample_formula(GenConfig(k=3, n=9, m=15, vspec=Finite(5), seed=7))
+    profile = cProfile.Profile()
+    assert profile.runcall(parse_formula, render_formula(f)) == f
+    assert _calls(profile, rsat.Formula.__post_init__) == 1
+    assert _calls(profile, rsat.Literal.__new__) == f.k * f.m
+
+
+def test_sample_builds_each_literal_once_and_one_fraction_per_bound():
+    cfg = GenConfig(k=3, n=9, m=15, vspec=Finite(5), seed=7)
+    profile = cProfile.Profile()
+    f = profile.runcall(sample_formula, cfg)
+    assert _calls(profile, rsat.Formula.__post_init__) == 1
+    assert _calls(profile, rsat.Literal.__new__) == f.k * f.m
+    bounds = {lit.bound for clause in f.clauses for lit in clause}
+    assert _fraction_count(profile) == len(bounds)
 
 
 def _fractions_built(fn, *args):

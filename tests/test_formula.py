@@ -112,15 +112,19 @@ def test_bound_without_integer_parts_is_a_type_error():
         (lambda: Literal(1.5, Rel.LE, F(1, 2)), "variable index must be an int, got float"),
         (lambda: Literal(True, Rel.LE, F(1, 2)), "variable index must be an int, got bool"),
         (lambda: Literal(0.5, Rel.LE, F(1, 2)), "variable index must be an int, got float"),
+        (lambda: Literal(1, "le", F(1, 2)), "relation must be a Rel, got str"),
+        (lambda: Literal(1, None, F(1, 2)), "relation must be a Rel, got NoneType"),
         (lambda: Formula(2.0, 2, (), CONTINUOUS), "clause width k must be an int, got float"),
         (lambda: Formula(2, 2.0, (), CONTINUOUS), "variable count must be an int, got float"),
         (lambda: Formula(2, True, (), CONTINUOUS), "variable count must be an int, got bool"),
     ],
-    ids=["var-float", "var-bool", "var-float-below-1", "k-float", "n-float", "n-bool"],
+    ids=["var-float", "var-bool", "var-float-below-1", "rel-str", "rel-None",
+         "k-float", "n-float", "n-bool"],
 )
 def test_indices_and_sizes_must_be_ints(make, message):
     # each was once accepted (or met a range check first) and rendered a file
-    # the parser rejects, such as "1.5:le:1/2" or "p rsat 2 2.0 0 continuous"
+    # the parser rejects, such as "1.5:le:1/2" or "p rsat 2 2.0 0 continuous";
+    # a "le" relation printed as ">=" and failed to render
     with pytest.raises(TypeError, match=f"^{message}$"):
         make()
 
@@ -175,6 +179,23 @@ def test_innocuous_literals_rejected():
         Literal(0, Rel.LE, F(1, 2))
     with pytest.raises(ValueError):
         Literal(1, Rel.LE, F(3, 2))
+
+
+def test_every_way_to_build_a_literal_runs_its_checks():
+    lit = le(1, 1, 2)
+    with pytest.raises(ValueError, match="^variable index must be >= 1, got 0$"):
+        lit._replace(var=0)
+    with pytest.raises(ValueError, match="^innocuous literal"):
+        Literal._make((1, Rel.LE, F(1)))
+    assert lit._replace(bound=F(1, 3)) == le(1, 1, 3)
+
+
+def test_a_literal_is_its_fields_tuple():
+    lit = ge(3, 2, 5)
+    var, rel, bound = lit
+    assert (var, rel, bound) == (lit.var, lit.rel, lit.bound) == (3, Rel.GE, F(2, 5))
+    assert hash(lit) == hash((lit.var, lit.rel, lit.bound))
+    assert lit == (3, Rel.GE, F(2, 5)) and repr(lit) == "(x3 >= 2/5)"
 
 
 def test_encoded_rhs_is_the_sampling_side():
