@@ -23,8 +23,12 @@ Both finders walk one *chain graph* built on the compiled form
 the two-variable clauses that lie on a closed walk of the SCC decider's
 digraph, each named by its lead slot; an arc runs from s to t when t's
 lead is sign-disjoint from s's trail, which the ranks decide without a
-Fraction.  The snake finder tests a walk's closing conditions with the
-same rank rule.  A chain of orientations becomes a certificate by
+Fraction.  That digraph is built over each variable's non-dominated
+candidates (:func:`rsat.solver.literal_components`); a walk through a
+dropped candidate's nodes passes the same clause arcs as one through the
+candidate that dominates it, so the digraph over every candidate keeps
+the same orientations.  The snake finder tests a walk's closing
+conditions with the same rank rule.  A chain of orientations becomes a certificate by
 reading each orientation's lead and trail off its clause, and the one
 certificate a finder returns must pass its checker, which reads the
 formula's Literals, not the ranks.  The bicycle finder is a greedy walk,
@@ -135,9 +139,9 @@ def _chain_graph(c: CompiledFormula, nodes: list[int], comp: list[int]):
     An orientation of clause i is named by its lead slot s (2i or 2i+1);
     its trail is slot ``s ^ 1``.  It is kept when its clause arc, from the
     complement of its lead to its trail, lies inside one strongly connected
-    component of the SCC decider's digraph, so that some closed walk uses
-    it, and when its clause joins two variables, as a chain certificate's
-    clauses do.  ``successors`` maps every kept orientation, in start
+    component of the SCC decider's digraph over the non-dominated
+    candidates, so that some closed walk uses it, and when its clause
+    joins two variables, as a chain certificate's clauses do.  ``successors`` maps every kept orientation, in start
     order (lead variable ascending, then slot order), to the kept
     orientations, in slot order, whose lead is disjoint from its
     trail.  ``disjoint(a, b)``, for slots on one variable, holds when the

@@ -41,6 +41,7 @@ from .formula import (
     Literal,
     Rel,
     TruthValueSpec,
+    _not_int,
     vspec_grid,
 )
 from .rng import Stream
@@ -50,8 +51,9 @@ OccurrenceProfile = Sequence[int]
 
 @dataclass(frozen=True)
 class GenConfig:
-    """One sampling request.  Six rules are checked when it is built, before
-    any draw: k >= 2; n >= 1; m >= 0; k <= n with ``distinct_vars_per_clause``;
+    """One sampling request.  Seven rules are checked when it is built, before
+    any draw: k, n, m and seed are ints (a bool is not; else a TypeError);
+    k >= 2; n >= 1; m >= 0; k <= n with ``distinct_vars_per_clause``;
     a slot denominator D (:func:`slot_denominator`) of at most 2^64, since one
     64-bit draw makes each encoded side; and D >= k*m with
     ``distinct_thresholds``, since V \\ {1} holds only D encoded sides."""
@@ -65,6 +67,9 @@ class GenConfig:
     distinct_thresholds: bool = False
 
     def __post_init__(self):
+        for name in ("k", "n", "m", "seed"):
+            if type(getattr(self, name)) is not int:
+                raise _not_int(name, getattr(self, name))
         if self.k < 2:
             raise InvalidConfig(f"k must be >= 2, got {self.k}")
         if self.n < 1:

@@ -23,7 +23,7 @@ from typing import Sequence
 from .analytics import wilson_interval
 from .errors import InvalidConfig, NoCrossing, ResourceLimit
 from .fileformat import vspec_to_token
-from .formula import Formula, TruthValueSpec
+from .formula import Formula, TruthValueSpec, _not_int
 from .rng import stream_seed
 from .sampler import GenConfig, draw_slots
 from .solver import (
@@ -55,6 +55,9 @@ class SweepConfig:
     distinct_vars_per_clause: bool = False
 
     def __post_init__(self):
+        for name in ("trials", "seed"):
+            if type(getattr(self, name)) is not int:
+                raise _not_int(name, getattr(self, name))
         if self.trials < 1:
             raise InvalidConfig(f"trials must be >= 1, got {self.trials}")
         check_budget(self.budget)

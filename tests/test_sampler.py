@@ -42,6 +42,16 @@ def test_invalid_config():
         GenConfig(k=2, n=5, m=-1)
 
 
+@pytest.mark.parametrize("field", ["k", "n", "m", "seed"])
+@pytest.mark.parametrize("bad", [2.0, True], ids=["float", "bool"])
+def test_config_sizes_and_seed_must_be_ints(field, bad):
+    # a float fails mid-sampling, and m=True would sample one clause
+    kwargs = dict(k=2, n=10, m=5, seed=0)
+    kwargs[field] = bad
+    with pytest.raises(TypeError, match=f"^{field} must be an int, got {type(bad).__name__}$"):
+        GenConfig(**kwargs)
+
+
 @pytest.mark.parametrize("vspec", ["finite:3", None], ids=["token", "None"])
 def test_a_config_over_an_object_that_is_not_a_value_set_is_a_type_error(vspec):
     # only CONTINUOUS samples continuous bounds

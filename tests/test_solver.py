@@ -1,5 +1,6 @@
 import hashlib
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
@@ -21,7 +22,10 @@ from rsat import (
     sample_formula,
     solve_2rsat_scc,
     solve_complete,
+    vspec_from_token,
 )
+from rsat.formula import signs_disjoint
+from rsat.solver import _dominant, compile_formula, literal_components
 from oracles import brute_force_count_tight, brute_force_solve, deep_pairs_formula
 
 
@@ -76,6 +80,13 @@ def test_budget_exhaustion():
     f = sample_formula(GenConfig(k=3, n=14, m=50, vspec=CONTINUOUS, seed=60))
     with pytest.raises(ResourceLimit):
         solve_complete(f, budget=1)
+
+
+@pytest.mark.parametrize("budget", [2.5, True], ids=["float", "bool"])
+def test_search_budget_must_be_an_int(budget):
+    f = sample_formula(GenConfig(k=3, n=4, m=4, seed=1))
+    with pytest.raises(TypeError, match=f"^budget must be an int, got {type(budget).__name__}$"):
+        solve_complete(f, budget=budget)
 
 
 @pytest.mark.parametrize("seed", range(150))
@@ -247,6 +258,63 @@ def test_digraph_edge_semantics():
             skey = graph.nodes[succ]
             if skey[0] == key[0]:  # entailment edge: satisfying sets nest
                 assert sat_set(key) <= sat_set(skey)
+
+
+# ---------------------------------------------------------------------------
+# non-dominated candidates
+
+
+def assert_reduction_exact(f):
+    """The three promises of ``_dominant`` on ``f``, against Fractions."""
+    c = compile_formula(f)
+    d, rep = _dominant(c)
+    lits = [lit for clause in f.clauses for lit in clause]
+    for j in range(1, f.n + 1):
+        kept = range(d.start[j], d.start[j + 1])
+        values = [c.values[rep[g]] for g in kept]
+        assert values == sorted(set(values)) and values  # ascending candidates of j
+        slots = [i for i, lit in enumerate(lits) if lit.var == j]
+        for i in slots:  # a slot is as true at a representative as its literal
+            for g, value in zip(kept, values):
+                truth = g >= d.rank[i] if d.ge[i] else g <= d.rank[i]
+                assert truth == eval_literal(lits[i], value), (j, i, value)
+        # every full candidate is dominated by a kept one
+        kept_sets = [{i for i in slots if eval_literal(lits[i], v)} for v in values]
+        for value in c.values[c.start[j] : c.start[j + 1]]:
+            full = {i for i in slots if eval_literal(lits[i], value)}
+            assert any(full <= kept_set for kept_set in kept_sets), (j, value)
+        for a, b in product(slots, repeat=2):  # sign-disjointness by reduced ranks
+            disjoint = d.ge[a] != d.ge[b] and (
+                d.rank[a] > d.rank[b] if d.ge[a] else d.rank[b] > d.rank[a])
+            assert disjoint == signs_disjoint(lits[a], lits[b]), (a, b)
+    return c, d, rep
+
+
+@pytest.mark.parametrize("distinct", [False, True], ids=["repeats", "distinct"])
+@pytest.mark.parametrize("token", ["continuous", "finite:2", "finite:3", "finite:5", "dyadic:2"])
+def test_dominant_candidates_are_exact(token, distinct):
+    for seed in range(40):
+        n = 3 + seed % 10
+        cfg = GenConfig(k=2, n=n, m=1 + (seed * 7) % (3 * n), vspec=vspec_from_token(token),
+                        seed=90_000 + seed, distinct_vars_per_clause=distinct)
+        assert_reduction_exact(sample_formula(cfg))
+
+
+def test_dominant_candidates_hand_cases():
+    f = Formula(2, 5, (
+        (le(1, 1, 2), ge(1, 1, 2)),  # a tie: x1 = 1/2 makes both true
+        (le(2, 1, 4), le(2, 3, 4)),  # x2 has only <= literals
+        (ge(3, 1, 4), ge(3, 3, 4)),  # x3 has only >= literals; x4 occurs nowhere
+        (ge(5, 1, 4), le(5, 3, 4)),  # the run x5 <= 3/4 is represented by 1/4
+    ), CONTINUOUS)
+    c, d, rep = assert_reduction_exact(f)
+    kept = {j: [c.values[rep[g]] for g in range(d.start[j], d.start[j + 1])]
+            for j in range(1, 6)}
+    expected = {1: F(1, 2), 2: F(1, 4), 3: F(3, 4), 4: F(0), 5: F(1, 4)}
+    assert kept == {j: [value] for j, value in expected.items()}
+    # one candidate makes every literal of every variable hold: all clauses are vacuous
+    assert literal_components(c)[0] == [-1] * 8
+    assert solve_2rsat_scc(f).witness == expected
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,14 @@ def test_budget_below_one_is_rejected(budget):
         small_config(k=3, decider="complete", budget=budget)
 
 
+@pytest.mark.parametrize("field", ["trials", "seed", "budget"])
+@pytest.mark.parametrize("bad", [2.5, True], ids=["float", "bool"])
+def test_trials_seed_and_budget_must_be_ints(field, bad):
+    # trials=True would run one trial, and trials=2.5 fail inside a cell
+    with pytest.raises(TypeError, match=f"^{field} must be an int, got {type(bad).__name__}$"):
+        small_config(k=3, decider="complete", **{field: bad})
+
+
 def test_sweep_deterministic_and_csv_schema():
     cfg = small_config()
     first = render_sweep_csv(run_sweep(cfg))
