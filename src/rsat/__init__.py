@@ -4,7 +4,6 @@ closed-form bounds and a Monte Carlo phase-transition harness."""
 from .analytics import (
     bejar_bound,
     exact_factorial_moment,
-    expected_tight_bound,
     snake_length,
     thm1_root,
     thm1_value,
@@ -28,7 +27,6 @@ from .errors import (
     NoCrossing,
     OddLength,
     ParseError,
-    ProfileMismatch,
     ResourceLimit,
     RsatError,
     WrongArity,
@@ -56,11 +54,7 @@ from .formula import (
     TruthValueSpec,
     eval_formula,
     eval_literal,
-    occurrence_profile,
     signs_disjoint,
-    vspec_cardinality,
-    vspec_contains,
-    vspec_values,
 )
 from .rng import Stream, mix64, stream_seed
 from .sampler import (
@@ -68,14 +62,12 @@ from .sampler import (
     couple_increase_v,
     min_safe_lambda,
     sample_formula,
-    sample_formula_given_profile,
     truncate_thresholds,
 )
 from .solver import (
     SolveResult,
     build_implication_digraph,
     candidate_domains,
-    count_tight_satisfying,
     solve_2rsat_scc,
     solve_complete,
 )

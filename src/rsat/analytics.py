@@ -96,15 +96,6 @@ def exact_factorial_moment(n: int, m: int, k: int, d: Sequence[int]) -> Fraction
     return Fraction(falling_factorial(k * m, big_d), n**big_d)
 
 
-def expected_tight_bound(n: int, m: int, k: int) -> float:
-    """(k c (1 - 2^-k)^(c-1))^n with c = m/n: upper bound on the expected
-    number of satisfying tight interpretations."""
-    if m <= n:
-        raise DomainError(f"requires m > n, got m={m}, n={n}")
-    c = m / n
-    return thm1_value(k, c) ** n
-
-
 # ---------------------------------------------------------------------------
 # Binomial confidence intervals
 

@@ -45,7 +45,7 @@ from functools import partial
 from .analytics import snake_length
 from .errors import IndexOutOfRange, OddLength, WrongArity
 from .formula import Formula, Literal, signs_disjoint
-from .solver import CompiledFormula, compile_formula, literal_components
+from .solver import CompiledFormula, check_budget, compile_formula, literal_components
 
 
 class _BudgetExhausted:
@@ -283,8 +283,10 @@ def find_snake(f: Formula, budget: int = DEFAULT_FIND_BUDGET):
     formula they leave satisfiable is not searched, and its chain graph is
     not built.  Middle variables and starts are tried in the successor
     dict's key order.  The first half is at most a small margin above
-    log n / log(m/2n) long.
+    log n / log(m/2n) long.  ``budget`` is checked as :func:`check_budget`
+    does, before any search.
     """
+    check_budget(budget)
     c = compile_formula(f)
     var = c.var
     nodes, comp, refuted = literal_components(c)

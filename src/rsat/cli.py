@@ -177,8 +177,6 @@ def _cmd_solve(args) -> int:
 
 def _cmd_cert(args) -> int:
     if args.cert_command == "find":
-        if args.kind == "snake":
-            check_budget(args.budget)
         f = parse_formula(_read_text(args.file))
         outcome = find_bicycle(f) if args.kind == "bicycle" else find_snake(f, args.budget)
         if outcome is None:

@@ -13,10 +13,6 @@ class MissingAssignment(RsatError):
     """An interpretation lacks a value for a variable that occurs in the formula."""
 
 
-class ProfileMismatch(RsatError):
-    """An occurrence profile does not sum to the required slot count."""
-
-
 class WrongVspec(RsatError):
     """Operation requires a different truth-value-set kind."""
 

@@ -41,7 +41,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Optional, Union
+from typing import Mapping, NamedTuple, Union
 
 from .errors import MissingAssignment
 
@@ -106,32 +106,8 @@ def vspec_grid(vspec: TruthValueSpec) -> int:
     raise TypeError(f"not a truth-value set: {vspec!r}")
 
 
-def vspec_cardinality(vspec: TruthValueSpec) -> Optional[int]:
-    """|V|, or None for the continuous set."""
-    grid = vspec_grid(vspec)
-    return grid + 1 if grid else None
-
-
-def vspec_values(vspec: TruthValueSpec) -> list[Fraction]:
-    """All values of a finite or dyadic V, ascending."""
-    grid = vspec_grid(vspec)
-    if not grid:
-        raise ValueError("continuous truth-value set cannot be enumerated")
-    return [Fraction(u, grid) for u in range(grid + 1)]
-
-
 def _not_rational(x) -> TypeError:
     return TypeError(f"bound must be an exact rational (Fraction or int), got {type(x).__name__}")
-
-
-def vspec_contains(vspec: TruthValueSpec, x: Fraction) -> bool:
-    """Membership of ``x`` in V; a bound with no integer numerator and
-    denominator is a TypeError."""
-    try:
-        num, den = x.numerator, x.denominator
-    except AttributeError:
-        raise _not_rational(x) from None
-    return 0 <= num <= den and vspec_grid(vspec) % den == 0
 
 
 # ---------------------------------------------------------------------------
@@ -301,14 +277,3 @@ def signs_disjoint(l1: Literal, l2: Literal) -> bool:
     le, ge = (l1, l2) if l1.rel is Rel.LE else (l2, l1)
     return ge.bound > le.bound
 
-
-def occurrence_profile(f: Formula) -> list[int]:
-    """Slot counts per variable: entry j-1 is the number of slots holding x_j.
-
-    The counts always sum to k*m.
-    """
-    counts = [0] * f.n
-    for clause in f.clauses:
-        for lit in clause:
-            counts[lit.var - 1] += 1
-    return counts

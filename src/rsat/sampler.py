@@ -19,7 +19,7 @@ first draw.
 
 Two couplings relate formulas over different value sets.  Each is an
 integer map of one slot's encoded side, applied in slot order by one loop
-(:func:`_map_sides`) that hands the slots to the samplers' builder.  The
+(:func:`_map_sides`) that hands the slots to the sampler's builder.  The
 bump kernel (:func:`couple_increase_v`) keeps the uniform marginals but is
 not pointwise monotone: it tightens some literals.  Only the dyadic ladder
 (:func:`truncate_thresholds` at increasing depth) is monotone.
@@ -29,9 +29,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
-from .errors import DuplicateThresholds, InvalidConfig, ProfileMismatch, WrongVspec
+from .errors import DuplicateThresholds, InvalidConfig, WrongVspec
 from .formula import (
     CONTINUOUS,
     ONE,
@@ -45,8 +45,6 @@ from .formula import (
     vspec_grid,
 )
 from .rng import Stream
-
-OccurrenceProfile = Sequence[int]
 
 
 @dataclass(frozen=True)
@@ -110,21 +108,23 @@ def _draw_distinct_vars(picks) -> list[int]:
     return out
 
 
-def _draw_slots(cfg: GenConfig, stream: Stream, copies: Optional[list[int]]):
-    """The one draw loop: per clause the k variables (unless ``copies`` fixes
-    them), then per slot the relation coin and the encoded side a.  With
-    ``distinct_thresholds`` a used side is redrawn until a new one comes, with
-    no cap: :class:`GenConfig` has checked that enough sides exist."""
+def draw_slots(cfg: GenConfig) -> tuple[int, list[int], list[int], list[int]]:
+    """The draws of :func:`sample_formula` as integers (D, var, ge, num): slot
+    i is x_var[i] >= num[i]/D when ge[i], else x_var[i] <= num[i]/D.
+
+    The one draw loop: per clause the k variables, then per slot the
+    relation coin and the encoded side a.  With ``distinct_thresholds`` a
+    used side is redrawn until a new one comes, with no cap:
+    :class:`GenConfig` has checked that enough sides exist."""
+    stream = Stream(cfg.seed)
     k, n = cfg.k, cfg.n
     denominator = slot_denominator(cfg.vspec)
     side, pick, coin = stream.below_fn(denominator), stream.below_fn(n), stream.next_u64
     picks = [stream.below_fn(n - i) for i in range(k)] if cfg.distinct_vars_per_clause else None
     used: Optional[set] = set() if cfg.distinct_thresholds else None
     var, ge, num = [], [], []  # per slot: variable, >= bit, bound numerator
-    for ci in range(cfg.m):
-        if copies is not None:
-            vs = copies[ci * k : (ci + 1) * k]
-        elif cfg.distinct_vars_per_clause:
+    for _ in range(cfg.m):
+        if picks is not None:
             vs = _draw_distinct_vars(picks)
         else:
             vs = [pick() + 1 for _ in range(k)]
@@ -141,12 +141,6 @@ def _draw_slots(cfg: GenConfig, stream: Stream, copies: Optional[list[int]]):
     return denominator, var, ge, num
 
 
-def draw_slots(cfg: GenConfig) -> tuple[int, list[int], list[int], list[int]]:
-    """The draws of :func:`sample_formula` as integers (D, var, ge, num): slot
-    i is x_var[i] >= num[i]/D when ge[i], else x_var[i] <= num[i]/D."""
-    return _draw_slots(cfg, Stream(cfg.seed), None)
-
-
 def _formula(shape: GenConfig | Formula, denominator: int, var, ge, num) -> Formula:
     """The one Literal builder: slot i is x_var[i] >= num[i]/D when ge[i], else
     <=; k, n, V and the clause model come from ``shape``."""
@@ -160,30 +154,6 @@ def _formula(shape: GenConfig | Formula, denominator: int, var, ge, num) -> Form
 def sample_formula(cfg: GenConfig) -> Formula:
     """Draw one formula; fully determined by ``cfg`` including its seed."""
     return _formula(cfg, *draw_slots(cfg))
-
-
-def sample_formula_given_profile(cfg: GenConfig, profile: OccurrenceProfile) -> Formula:
-    """Draw a formula conditioned on the occurrence profile.
-
-    Variable copies (R_j copies of x_j) are matched to the k*m slots by a
-    uniform random permutation; constraint parts are drawn slot by slot as
-    in :func:`sample_formula`.  The bucket construction allows clause-
-    internal repeats, so ``distinct_vars_per_clause`` must be off.
-    """
-    if cfg.distinct_vars_per_clause:
-        raise InvalidConfig("profile-conditioned sampling requires repeats allowed")
-    if len(profile) != cfg.n:
-        raise ProfileMismatch(f"profile has {len(profile)} entries, expected n={cfg.n}")
-    km = cfg.k * cfg.m
-    if any(r < 0 for r in profile) or sum(profile) != km:
-        raise ProfileMismatch(f"profile must be nonnegative and sum to k*m = {km}")
-
-    stream = Stream(cfg.seed)
-    copies = [j + 1 for j, r in enumerate(profile) for _ in range(r)]
-    for i in range(km - 1, 0, -1):  # Fisher-Yates: uniform matching of copies to slots
-        j = stream.below(i + 1)
-        copies[i], copies[j] = copies[j], copies[i]
-    return _formula(cfg, *_draw_slots(cfg, stream, copies))
 
 
 # ---------------------------------------------------------------------------

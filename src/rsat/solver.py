@@ -48,10 +48,9 @@ value a candidate of its variable.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, compress, product, repeat
+from itertools import accumulate, compress, repeat
 from math import lcm
 from operator import eq, not_, rshift
 from typing import Optional
@@ -60,7 +59,6 @@ from .errors import InvalidConfig, ResourceLimit, WrongArity
 from .formula import ZERO, Formula, Rel, _not_int
 
 DEFAULT_NODE_BUDGET = 5_000_000
-DEFAULT_COUNT_BUDGET = 2_000_000
 
 
 def check_budget(budget: int) -> None:
@@ -481,38 +479,3 @@ def solve_2rsat_scc(f: Formula | CompiledFormula) -> SolveResult:
         wit[j] = rep[g]
     return _result(c, wit)
 
-
-# ---------------------------------------------------------------------------
-# Tight-interpretation counting
-
-
-def count_tight_satisfying(f: Formula, budget: int = DEFAULT_COUNT_BUDGET) -> int:
-    """Number of satisfying slot-tight interpretations.
-
-    Counts assignments x_j = (right-hand side found in one of x_j's own
-    slots), with slot multiplicity: two slots carrying the same bound
-    contribute two choices.  A variable with no occurrence has no slot to
-    pick from, so the count is 0 by convention.
-    """
-    c = compile_formula(f)
-    mult = Counter(c.rank)  # slots per candidate
-    spans = [range(c.start[j], c.start[j + 1]) for j in range(1, f.n + 1)]
-
-    total = 1
-    for span in spans:
-        total *= sum(mult[g] for g in span)
-        if total == 0:
-            return 0
-        if total > budget:
-            raise ResourceLimit(f"tight-interpretation space exceeds budget of {budget}")
-
-    masks, _ = _clause_masks(c)
-    count = 0
-    for combo in product(*spans):
-        bits = {j: 1 << (g - span.start) for j, g, span in zip(range(1, f.n + 1), combo, spans)}
-        if all(any(bits[j] & mask for j, mask in clause) for clause in masks):
-            weight = 1
-            for g in combo:
-                weight *= mult[g]
-            count += weight
-    return count

@@ -63,6 +63,9 @@ class SweepConfig:
         check_budget(self.budget)
         if not self.vspecs or not self.n_values or not self.c_grid:
             raise InvalidConfig("vspecs, n_values and c_grid must be non-empty")
+        for c in self.c_grid:  # exact ratios only, so m and the CSV's c are exact
+            if type(c) not in (int, Fraction):
+                raise TypeError(f"c must be an int or a Fraction, got {type(c).__name__}")
         if any(c <= 0 for c in self.c_grid):
             raise InvalidConfig("all c values must be positive")
         if self.decider not in DECIDERS:

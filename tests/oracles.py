@@ -22,8 +22,28 @@ from rsat import (
     eval_formula,
     signs_disjoint,
     verify_bicycle,
-    vspec_values,
 )
+from rsat.formula import vspec_grid
+
+
+def vspec_values(vspec) -> list[Fraction]:
+    """All values of a finite or dyadic V, ascending."""
+    grid = vspec_grid(vspec)
+    if not grid:
+        raise ValueError("continuous truth-value set cannot be enumerated")
+    return [Fraction(u, grid) for u in range(grid + 1)]
+
+
+def occurrence_profile(f) -> list[int]:
+    """Slot counts per variable: entry j-1 is the number of slots holding x_j.
+
+    The counts always sum to k*m.
+    """
+    counts = [0] * f.n
+    for clause in f.clauses:
+        for lit in clause:
+            counts[lit.var - 1] += 1
+    return counts
 
 
 def brute_force_solve(f) -> bool:

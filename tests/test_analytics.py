@@ -11,7 +11,6 @@ from rsat import (
     Stream,
     bejar_bound,
     exact_factorial_moment,
-    expected_tight_bound,
     snake_length,
     thm1_root,
     thm1_value,
@@ -204,11 +203,12 @@ def test_factorial_moment_monte_carlo():
 
 
 def test_expected_tight_bound():
-    assert abs(expected_tight_bound(4, 8, 2) - 81.0) < 1e-9
+    # (k c (1 - 2^-k)^(c-1))^n with c = m/n
+    assert abs(thm1_value(2, 8 / 4) ** 4 - 81.0) < 1e-9
     with pytest.raises(DomainError):
-        expected_tight_bound(4, 4, 2)
+        thm1_value(2, 4 / 4)
     # below the root the bound decays below 1
-    assert expected_tight_bound(50, 50 * 13, 2) < 1.0
+    assert thm1_value(2, 650 / 50) ** 50 < 1.0
     assert thm1_value(2, 13.0) < 1.0
 
 

@@ -14,6 +14,7 @@ from rsat import (
     Formula,
     GenConfig,
     IndexOutOfRange,
+    InvalidConfig,
     Literal,
     OddLength,
     Rel,
@@ -286,6 +287,16 @@ def test_find_snake_on_unsatisfiable_long_ring():
     f = Formula(2, y, ring.clauses + extra, CONTINUOUS)
     assert not solve_2rsat_scc(f).sat
     assert find_snake(f, budget=50_000) is None
+
+
+@pytest.mark.parametrize("budget, error", [(0, InvalidConfig), (-3, InvalidConfig),
+                                           (True, TypeError), (2.5, TypeError)])
+def test_find_snake_checks_its_budget(budget, error):
+    # this formula holds a snake that budget=200_000 finds
+    f = sample_formula(GenConfig(2, 200, 600, seed=1))
+    assert verify_snake(f, find_snake(f, budget=200_000))
+    with pytest.raises(error):
+        find_snake(f, budget=budget)
 
 
 def test_find_snake_needs_seven_clauses():

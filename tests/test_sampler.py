@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 from fractions import Fraction as F
 
@@ -14,21 +13,18 @@ from rsat import (
     GenConfig,
     InvalidConfig,
     Literal,
-    ProfileMismatch,
     Rel,
     Stream,
     WrongVspec,
     couple_increase_v,
     min_safe_lambda,
-    occurrence_profile,
     sample_formula,
-    sample_formula_given_profile,
     truncate_thresholds,
 )
 from rsat.sampler import draw_slots, slot_denominator
 from rsat.solver import compile_formula, compile_slots
 
-from oracles import three_sigma
+from oracles import fraction_vspec_contains, occurrence_profile, three_sigma
 
 
 def test_invalid_config():
@@ -81,7 +77,7 @@ def test_no_innocuous_literals_and_bounds_in_v(vspec):
         for lit in clause:
             assert not (lit.rel is Rel.LE and lit.bound == 1)
             assert not (lit.rel is Rel.GE and lit.bound == 0)
-            assert rsat.vspec_contains(vspec, lit.bound)
+            assert fraction_vspec_contains(vspec, lit.bound)
 
 
 def test_distinct_vars_per_clause():
@@ -137,30 +133,7 @@ def test_a_grid_of_2_to_the_64_samples_parses_and_decides(token):
 
 
 # ---------------------------------------------------------------------------
-# profile-conditioned sampling
-
-
-def test_profile_identity_and_extremes():
-    cfg = GenConfig(k=2, n=4, m=6, seed=31)
-    prof = [12, 0, 0, 0]
-    f = sample_formula_given_profile(cfg, prof)
-    assert occurrence_profile(f) == prof
-    assert all(lit.var == 1 for cl in f.clauses for lit in cl)
-
-    prof = [3, 3, 3, 3]
-    f = sample_formula_given_profile(cfg, prof)
-    assert occurrence_profile(f) == prof
-
-
-def test_profile_mismatch_and_distinct_flag():
-    cfg = GenConfig(k=2, n=3, m=2, seed=1)
-    with pytest.raises(ProfileMismatch):
-        sample_formula_given_profile(cfg, [1, 1, 1])
-    with pytest.raises(ProfileMismatch):
-        sample_formula_given_profile(cfg, [4, 0])
-    bad = GenConfig(k=2, n=3, m=2, seed=1, distinct_vars_per_clause=True)
-    with pytest.raises(InvalidConfig):
-        sample_formula_given_profile(bad, [2, 1, 1])
+# occurrence profiles
 
 
 def test_occurrence_law_matches_multinomial():
@@ -524,23 +497,6 @@ def test_distinct_thresholds_pinned(token, digest):
     cfg = GenConfig(k=2, n=30, m=25, vspec=rsat.vspec_from_token(token), seed=77,
                     distinct_thresholds=True)
     assert _digest(sample_formula(cfg)) == digest
-
-
-@pytest.mark.parametrize(
-    "token, seed, digest",
-    [
-        ("finite:5", None, "1a011ed50c02b5a55a5144470857a6a70b236b963ddfd07f0144cf11d9b5df4b"),
-        ("finite:5", 11, "8abd281b598189b967410dd9c919bf1e41c8bd5e3148ed3f0bf9c395be4df56d"),
-        ("continuous", None, "986c54c5b4bade24c690d36e298322d40ffb1d221c1edef512cfcd0a65d9aaef"),
-        ("continuous", 11, "d8cfa43f40f18aca652696391fcaea209bfda69ec341de67283f08ac6255f9f6"),
-    ],
-)
-def test_profile_sample_pinned(token, seed, digest):
-    cfg = GenConfig(k=2, n=6, m=9, vspec=rsat.vspec_from_token(token), seed=5)
-    if seed is not None:
-        cfg = dataclasses.replace(cfg, seed=seed)
-    f = sample_formula_given_profile(cfg, [5, 0, 4, 3, 2, 4])
-    assert _digest(f) == digest
 
 
 @pytest.mark.parametrize(

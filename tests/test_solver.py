@@ -1,4 +1,5 @@
 import hashlib
+from collections import Counter
 from fractions import Fraction as F
 from itertools import product
 
@@ -16,16 +17,16 @@ from rsat import (
     WrongArity,
     build_implication_digraph,
     candidate_domains,
-    count_tight_satisfying,
     eval_formula,
     eval_literal,
     sample_formula,
     solve_2rsat_scc,
     solve_complete,
+    thm1_value,
     vspec_from_token,
 )
 from rsat.formula import signs_disjoint
-from rsat.solver import _dominant, compile_formula, literal_components
+from rsat.solver import _clause_masks, _dominant, compile_formula, literal_components
 from oracles import brute_force_count_tight, brute_force_solve, deep_pairs_formula
 
 
@@ -321,6 +322,29 @@ def test_dominant_candidates_hand_cases():
 # tight counting
 
 
+def count_tight_satisfying(f: Formula) -> int:
+    """Number of satisfying slot-tight interpretations.
+
+    Counts assignments x_j = (right-hand side found in one of x_j's own
+    slots), with slot multiplicity: two slots carrying the same bound
+    contribute two choices.  A variable with no occurrence has no slot to
+    pick from (its one candidate has weight 0), so the count is 0.
+    """
+    c = compile_formula(f)
+    mult = Counter(c.rank)  # slots per candidate
+    spans = [range(c.start[j], c.start[j + 1]) for j in range(1, f.n + 1)]
+    masks, _ = _clause_masks(c)
+    count = 0
+    for combo in product(*spans):
+        bits = {j: 1 << (g - span.start) for j, g, span in zip(range(1, f.n + 1), combo, spans)}
+        if all(any(bits[j] & mask for j, mask in clause) for clause in masks):
+            weight = 1
+            for g in combo:
+                weight *= mult[g]
+            count += weight
+    return count
+
+
 def test_count_tight_examples():
     unsat = Formula(2, 1, (unit_pair(le(1, 3, 10)), unit_pair(ge(1, 7, 10))), CONTINUOUS)
     assert count_tight_satisfying(unsat) == 0
@@ -345,18 +369,10 @@ def test_count_tight_matches_enumeration(seed):
     assert count_tight_satisfying(f) == brute_force_count_tight(f)
 
 
-def test_count_tight_budget():
-    f = sample_formula(GenConfig(k=2, n=4, m=40, vspec=CONTINUOUS, seed=91))
-    with pytest.raises(ResourceLimit):
-        count_tight_satisfying(f, budget=10)
-
-
 def test_expected_tight_count_below_closed_form_bound():
     # E[number of satisfying tight interpretations] at (k=2, n=4, m=8) is
     # bounded by (k c (1 - 2^-k)^(c-1))^n = 81; Monte Carlo mean stays below
-    from rsat import expected_tight_bound
-
-    bound = expected_tight_bound(4, 8, 2)
+    bound = thm1_value(2, 8 / 4) ** 4
     assert bound == 81.0
     samples = 10_000
     total = total_sq = 0.0

@@ -50,6 +50,13 @@ def test_clause_count_half_up():
     assert clause_count(F(2), 10) == 20
 
 
+@pytest.mark.parametrize("c, name", [(True, "bool"), (0.1 + 0.2, "float"), ("3/2", "str")])
+def test_ratio_must_be_exact(c, name):
+    with pytest.raises(TypeError, match=f"c must be an int or a Fraction, got {name}"):
+        small_config(c_grid=(F(1, 2), c))
+    assert small_config(c_grid=(2, F(3, 2))).c_grid == (2, F(3, 2))
+
+
 def test_config_validation():
     with pytest.raises(InvalidConfig):
         small_config(trials=0)
