@@ -49,12 +49,13 @@ from .rng import Stream
 
 @dataclass(frozen=True)
 class GenConfig:
-    """One sampling request.  Seven rules are checked when it is built, before
+    """One sampling request.  Eight rules are checked when it is built, before
     any draw: k, n, m and seed are ints (a bool is not; else a TypeError);
-    k >= 2; n >= 1; m >= 0; k <= n with ``distinct_vars_per_clause``;
-    a slot denominator D (:func:`slot_denominator`) of at most 2^64, since one
-    64-bit draw makes each encoded side; and D >= k*m with
-    ``distinct_thresholds``, since V \\ {1} holds only D encoded sides."""
+    the two clause-model flags are bools (else a TypeError); k >= 2; n >= 1;
+    m >= 0; k <= n with ``distinct_vars_per_clause``; a slot denominator D
+    (:func:`slot_denominator`) of at most 2^64, since one 64-bit draw makes
+    each encoded side; and D >= k*m with ``distinct_thresholds``, since
+    V \\ {1} holds only D encoded sides."""
 
     k: int
     n: int
@@ -68,6 +69,9 @@ class GenConfig:
         for name in ("k", "n", "m", "seed"):
             if type(getattr(self, name)) is not int:
                 raise _not_int(name, getattr(self, name))
+        for name in ("distinct_vars_per_clause", "distinct_thresholds"):
+            if type(getattr(self, name)) is not bool:
+                raise TypeError(f"{name} must be a bool, got {type(getattr(self, name)).__name__}")
         if self.k < 2:
             raise InvalidConfig(f"k must be >= 2, got {self.k}")
         if self.n < 1:

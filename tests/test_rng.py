@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -10,6 +12,73 @@ def test_mix64_reference_values():
     assert mix64(0) == 16294208416658607535
     assert mix64(1) == 10451216379200822465
     assert mix64(2**64 - 1) == 16490336266968443936
+
+
+GOLDEN = 0x9E3779B97F4A7C15
+
+
+def test_stream_matches_the_published_splitmix64_vector():
+    s = Stream(0)
+    assert [s.next_u64() for _ in range(3)] == [
+        0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, 0xDEADBEEFCAFEBABE, 2**64 + 0x1234567])
+def test_output_i_is_mix64_of_seed_plus_i_golden(seed):
+    # 5000 outputs cross every block size step, 16 up to 1024
+    s = Stream(seed)
+    assert [s.next_u64() for _ in range(5000)] == [
+        mix64((seed + i * GOLDEN) % 2**64) for i in range(5000)]
+
+
+class _OneStep:
+    """SplitMix64 one output at a time, and the masked rejection draw."""
+
+    def __init__(self, seed):
+        self.i, self.seed = 0, seed
+
+    def next_u64(self):
+        self.i += 1
+        return mix64((self.seed + (self.i - 1) * GOLDEN) % 2**64)
+
+    def below(self, n):
+        k = (n - 1).bit_length()
+        if k == 0:
+            return 0
+        r = self.next_u64() >> (64 - k)
+        while r >= n:
+            r = self.next_u64() >> (64 - k)
+        return r
+
+    def bits(self, k):
+        return self.next_u64() >> (64 - k) if k else 0
+
+
+def test_helpers_interleaved_consume_the_one_step_draws():
+    # the calls run past output 16 (blocks of 16 and 32) and 1008 (512 and 1024)
+    s, ref = Stream(42), _OneStep(42)
+    draw = s.below_fn(1000)
+    calls = [
+        (s.next_u64, ref.next_u64),
+        (lambda: s.below(7), lambda: ref.below(7)),
+        (draw, lambda: ref.below(1000)),
+        (lambda: s.bits(53), lambda: ref.bits(53)),
+        (lambda: s.below(1 << 64), lambda: ref.below(1 << 64)),
+        (lambda: s.bits(0), lambda: ref.bits(0)),
+        (lambda: s.below(3), lambda: ref.below(3)),
+    ]
+    for i in range(1100):
+        ours, theirs = calls[i % len(calls)]
+        assert ours() == theirs(), i
+    assert ref.i > 1008
+    assert s.next_u64() == ref.next_u64()
+
+
+@pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy, pickle.dumps])
+def test_a_stream_cannot_be_copied(copier):
+    # a copy would share the block iterator and split one draw sequence
+    with pytest.raises(TypeError, match=r"^a Stream cannot be copied; build Stream\(seed\) again$"):
+        copier(Stream(5))
 
 
 def test_stream_determinism():

@@ -48,6 +48,14 @@ def test_config_sizes_and_seed_must_be_ints(field, bad):
         GenConfig(**kwargs)
 
 
+@pytest.mark.parametrize("field", ["distinct_vars_per_clause", "distinct_thresholds"])
+@pytest.mark.parametrize("bad", ["no", 0.0, 1, None, [1]], ids=["str", "float", "int", "None", "list"])
+def test_config_clause_model_flags_must_be_bools(field, bad):
+    # read by truthiness, "no" would sample distinct variables and store "no"
+    with pytest.raises(TypeError, match=f"^{field} must be a bool, got {type(bad).__name__}$"):
+        GenConfig(k=2, n=4, m=3, vspec=Finite(17), seed=1, **{field: bad})
+
+
 @pytest.mark.parametrize("vspec", ["finite:3", None], ids=["token", "None"])
 def test_a_config_over_an_object_that_is_not_a_value_set_is_a_type_error(vspec):
     # only CONTINUOUS samples continuous bounds

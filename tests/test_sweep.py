@@ -101,6 +101,13 @@ def test_trials_seed_and_budget_must_be_ints(field, bad):
         small_config(k=3, decider="complete", **{field: bad})
 
 
+@pytest.mark.parametrize("bad", ["no", 0.0, 1, None, [1]], ids=["str", "float", "int", "None", "list"])
+def test_clause_model_flag_must_be_a_bool(bad):
+    # checked by GenConfig for every (V, n) before the first cell
+    with pytest.raises(TypeError, match=f"^distinct_vars_per_clause must be a bool, got {type(bad).__name__}$"):
+        small_config(distinct_vars_per_clause=bad)
+
+
 def test_sweep_deterministic_and_csv_schema():
     cfg = small_config()
     first = render_sweep_csv(run_sweep(cfg))
