@@ -18,17 +18,18 @@ are derived from it:
   satisfiable nor violable, so a verified snake certifies
   unsatisfiability outright.
 
-Both finders walk one *chain graph* built on the compiled form
-(:func:`rsat.solver.compile_formula`).  Its nodes are the orientations of
-the two-variable clauses that lie on a closed walk of the SCC decider's
-digraph, each named by its lead slot; an arc runs from s to t when t's
-lead is sign-disjoint from s's trail, which the ranks decide without a
-Fraction.  That digraph is built over each variable's non-dominated
-candidates (:func:`rsat.solver.literal_components`); a walk through a
-dropped candidate's nodes passes the same clause arcs as one through the
-candidate that dominates it, so the digraph over every candidate keeps
-the same orientations.  The snake finder tests a walk's closing
-conditions with the same rank rule.  A chain of orientations becomes a certificate by
+Both finders run the SCC decider's stages, compile, then
+:func:`rsat.solver.reduce_candidates` and
+:func:`rsat.solver.literal_components`, and walk one *chain graph* on the
+reduced form alone.  Its nodes are the orientations of the two-variable
+clauses that lie on a closed walk of the decider's digraph, each named
+by its lead slot; an arc runs from s to t when t's lead is sign-disjoint
+from s's trail, which the reduced ranks decide without a Fraction (the
+reduction keeps sign-disjointness).  A walk through a dropped
+candidate's nodes passes the same clause arcs as one through the
+candidate that dominates it, so the graph over every candidate keeps the
+same orientations.  The snake finder tests a walk's closing conditions
+with the same rank rule.  A chain of orientations becomes a certificate by
 reading each orientation's lead and trail off its clause, and the one
 certificate a finder returns must pass its checker, which reads the
 formula's Literals, not the ranks.  The bicycle finder is a greedy walk,
@@ -45,7 +46,8 @@ from functools import partial
 from .analytics import snake_length
 from .errors import IndexOutOfRange, OddLength, WrongArity
 from .formula import Formula, Literal, signs_disjoint
-from .solver import CompiledFormula, check_budget, compile_formula, literal_components
+from .solver import (CompiledFormula, check_budget, compile_formula, literal_components,
+                     reduce_candidates)
 
 
 class _BudgetExhausted:
@@ -69,11 +71,16 @@ class _Chain:
 
     _least_ell: int
 
+    @classmethod
+    def check_ell(cls, ell: int) -> None:
+        """Raise a ValueError when ``ell`` is below the kind's least length."""
+        if ell < cls._least_ell:
+            raise ValueError(f"{cls.__name__.lower()} needs ell >= {cls._least_ell}, got {ell}")
+
     def __post_init__(self):
-        kind = type(self).__name__.lower()
-        if self.ell < self._least_ell:
-            raise ValueError(f"{kind} needs ell >= {self._least_ell}, got {self.ell}")
+        self.check_ell(self.ell)
         if len(self.clause_indices) != len(self.pairs):
+            kind = type(self).__name__.lower()
             raise ValueError(f"{kind} of ell={self.ell} needs {self.ell + 1} clause indices")
 
     @property
@@ -131,24 +138,24 @@ def verify_bicycle(f: Formula, cert: Bicycle) -> bool:
     return pairs[0][0].var == t_vars[cert.i0 - 1] and pairs[-1][1].var == t_vars[cert.i1 - 1]
 
 
-def _chain_graph(c: CompiledFormula, nodes: list[int], comp: list[int]):
-    """The closed-walk chain graph of width-2 ``c``, from the slot nodes and
-    node components of :func:`rsat.solver.literal_components`: its
+def _chain_graph(d: CompiledFormula, nodes: list[int], comp: list[int]):
+    """The closed-walk chain graph of width-2 ``d``, a reduced form, from
+    the slot nodes and components ``literal_components(d)`` gives: its
     successor lists and the disjointness rule.
 
     An orientation of clause i is named by its lead slot s (2i or 2i+1);
     its trail is slot ``s ^ 1``.  It is kept when its clause arc, from the
     complement of its lead to its trail, lies inside one strongly connected
-    component of the SCC decider's digraph over the non-dominated
-    candidates, so that some closed walk uses it, and when its clause
-    joins two variables, as a chain certificate's clauses do.  ``successors`` maps every kept orientation, in start
-    order (lead variable ascending, then slot order), to the kept
-    orientations, in slot order, whose lead is disjoint from its
-    trail.  ``disjoint(a, b)``, for slots on one variable, holds when the
+    component of ``d``'s digraph, so that some closed walk uses it, and
+    when its clause joins two variables, as a chain certificate's clauses
+    do.  ``successors`` maps every kept orientation, in start order (lead
+    variable ascending, then slot order), to the kept orientations, in
+    slot order, whose lead is disjoint from its trail.
+    ``disjoint(a, b)``, for slots on one variable, holds when the
     relations differ and the ``>=`` rank is strictly greater than the
     ``<=`` rank (a tie is not disjoint).
     """
-    var, ge, rank = c.var, c.ge, c.rank
+    var, ge, rank = d.var, d.ge, d.rank
     by_lead: dict[int, list[int]] = {}
     for s in range(len(var)):
         u, w = nodes[s], nodes[s ^ 1]
@@ -197,9 +204,9 @@ def find_bicycle(f: Formula):
 
     Returns a Bicycle that ``verify_bicycle`` accepted, or None.
     """
-    c = compile_formula(f)
-    var = c.var
-    successors, _ = _chain_graph(c, *literal_components(c)[:2])
+    d, _ = reduce_candidates(compile_formula(f))
+    var = d.var
+    successors, _ = _chain_graph(d, *literal_components(d)[:2])
     for start in successors:
         # chain[i] leads on the walk's i-th variable; pos maps a variable
         # to where the walk last reached it, and the bicycle's chain
@@ -287,12 +294,12 @@ def find_snake(f: Formula, budget: int = DEFAULT_FIND_BUDGET):
     does, before any search.
     """
     check_budget(budget)
-    c = compile_formula(f)
-    var = c.var
-    nodes, comp, refuted = literal_components(c)
+    d, _ = reduce_candidates(compile_formula(f))
+    var = d.var
+    nodes, comp, refuted = literal_components(d)
     if not refuted or f.m < 7:
         return None
-    successors, disjoint = _chain_graph(c, nodes, comp)
+    successors, disjoint = _chain_graph(d, nodes, comp)
     if f.m > 2 * f.n and f.n >= 2:
         max_half = 2 + snake_length(f.n, f.m / f.n) // 2
     else:

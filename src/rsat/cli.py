@@ -176,8 +176,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_cert(args) -> int:
+    f = parse_formula(_read_text(args.file))
     if args.cert_command == "find":
-        f = parse_formula(_read_text(args.file))
         outcome = find_bicycle(f) if args.kind == "bicycle" else find_snake(f, args.budget)
         if outcome is None:
             print("NONE")
@@ -185,7 +185,6 @@ def _cmd_cert(args) -> int:
         _write_out(render_certificate(outcome), args.out)
         return EXIT_OK
 
-    f = parse_formula(_read_text(args.file))
     cert = parse_certificate(_read_text(args.cert))
     if isinstance(cert, Bicycle):
         ok = verify_bicycle(f, cert)

@@ -218,10 +218,10 @@ def parse_certificate(text: str) -> Bicycle | Snake:
     if len(header) != len(usage.split()):
         raise ParseError(f"expected {usage!r}", header_line)
     ell, *ends = (_int(field, f"{header[1]} header field", header_line) for field in header[2:])
-    pairs, clause_indices = _parse_chain_lines(entries, ell + 1, header_line)
-    try:
-        if header[1] == "bicycle":
-            return Bicycle(pairs, *ends, clause_indices)
-        return Snake(pairs, clause_indices)
-    except ValueError as exc:  # the chain lines parsed: the header is at fault
+    kind = Bicycle if header[1] == "bicycle" else Snake
+    try:  # before the chain lines are counted, which a negative ell would miscount
+        kind.check_ell(ell)
+    except ValueError as exc:
         raise ParseError(str(exc), header_line) from None
+    pairs, clause_indices = _parse_chain_lines(entries, ell + 1, header_line)
+    return kind(pairs, *ends, clause_indices)

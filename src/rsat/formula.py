@@ -228,10 +228,6 @@ class Formula:
     def m(self) -> int:
         return len(self.clauses)
 
-    def variables(self) -> set[int]:
-        """Indices of variables that occur in at least one slot."""
-        return {lit.var for clause in self.clauses for lit in clause}
-
 
 # ---------------------------------------------------------------------------
 # Semantics

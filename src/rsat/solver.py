@@ -29,16 +29,18 @@ no Fraction.
   every literal true that it makes true; moving a satisfying value onto
   the dominating candidate keeps every clause true, so dropping dominated
   candidates keeps satisfiability, and keeps which slots on one variable
-  are sign-disjoint.  :func:`_dominant` keeps one candidate per maximal
-  run of ``<=`` literals in bound order, plus one when the order ends in
-  ``>=`` literals, about a quarter of the candidates of a continuous
-  n = 2000 trial.  A variable with kept candidates d_0 < ... < d_{N-1}
-  owns N - 1 node pairs of the implication digraph, one per gap: node 2h
-  is ``x <= d_r`` and node 2h+1 is ``x >= d_{r+1}``, so a node's
-  complement is ``id ^ 1`` and no node lacks one.  A literal true on every
-  kept candidate has no node; its clause is vacuous.  UNSAT iff some node
-  shares a strongly connected component with its complement.  The
-  certificate finders read the same components (:func:`literal_components`).
+  are sign-disjoint.  :func:`reduce_candidates` keeps one candidate per
+  maximal run of ``<=`` literals in bound order, plus one when the order
+  ends in ``>=`` literals, about a quarter of the candidates of a
+  continuous n = 2000 trial.  A variable with kept candidates
+  d_0 < ... < d_{N-1} owns N - 1 node pairs of the implication digraph,
+  one per gap: node 2h is ``x <= d_r`` and node 2h+1 is ``x >= d_{r+1}``,
+  so a node's complement is ``id ^ 1`` and no node lacks one.  A literal
+  true on every kept candidate has no node; its clause is vacuous.  UNSAT
+  iff some node shares a strongly connected component with its
+  complement.  The decider and both certificate finders run the same
+  stages: compile, :func:`reduce_candidates`, then
+  :func:`literal_components` on the reduced form.
 
 The two stay independent so they can cross-validate; the complete
 decider searches every candidate.  Both check their witness on the ranks
@@ -48,11 +50,12 @@ value a candidate of its variable.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, compress, repeat
+from itertools import accumulate, compress
 from math import lcm
-from operator import eq, not_, rshift
+from operator import eq, not_
 from typing import Optional
 
 from .errors import InvalidConfig, ResourceLimit, WrongArity
@@ -107,8 +110,7 @@ def _compile(k, n, var, ge, num, shift, bounds=None) -> CompiledFormula:
     present = set(var)
     uniq = sorted(set(keys).union(j << shift for j in range(1, n + 1) if j not in present))
     index = dict(zip(uniq, range(len(uniq))))
-    first = dict(zip(map(rshift, reversed(uniq), repeat(shift)), range(len(uniq) - 1, -1, -1)))
-    start = [0, *map(first.__getitem__, range(1, n + 1)), len(uniq)]
+    start = [0, *(bisect_left(uniq, j << shift) for j in range(1, n + 2))]
     values = None
     if bounds is not None:
         bound_of = dict(zip(keys, bounds))
@@ -351,7 +353,7 @@ def _order_graph(c: CompiledFormula) -> tuple[list[int], list[list[int]]]:
     return nodes, succ
 
 
-def _dominant(c: CompiledFormula) -> tuple[CompiledFormula, list[int]]:
+def reduce_candidates(c: CompiledFormula) -> tuple[CompiledFormula, list[int]]:
     """``c`` over each variable's non-dominated candidates, and the global
     rank in ``c`` of every kept candidate's representative value.
 
@@ -381,21 +383,16 @@ def _dominant(c: CompiledFormula) -> tuple[CompiledFormula, list[int]]:
     return CompiledFormula(c.k, c.n, c.var, ge, reduced, [before[g] for g in start], None), rep
 
 
-def _components(c: CompiledFormula) -> tuple[list[int], list[int], bool]:
-    """:func:`literal_components` of ``c``'s own candidates."""
-    nodes, succ = _order_graph(c)
-    comp = _tarjan(succ)
-    return nodes, comp, any(map(eq, comp[0::2], comp[1::2]))
-
-
 def literal_components(c: CompiledFormula) -> tuple[list[int], list[int], bool]:
     """Node of every slot (-1 where none), the component of every node, and
     whether some node shares a component with its complement, which refutes
-    ``c``, in the order digraph of ``c`` over its non-dominated candidates
-    (:func:`_dominant`).  Components are numbered sinks-first.  A width
-    other than 2 is a WrongArity.
+    ``c``, in the order digraph of ``c`` over its own candidates; the
+    width-2 readers pass it :func:`reduce_candidates`' form.  Components
+    are numbered sinks-first.  A width other than 2 is a WrongArity.
     """
-    return _components(_dominant(c)[0])
+    nodes, succ = _order_graph(c)
+    comp = _tarjan(succ)
+    return nodes, comp, any(map(eq, comp[0::2], comp[1::2]))
 
 
 def build_implication_digraph(f: Formula, domains=None) -> ImplicationDigraph:
@@ -465,8 +462,8 @@ def solve_2rsat_scc(f: Formula | CompiledFormula) -> SolveResult:
     none is), checked against every clause on the full ranks.
     """
     c = f if isinstance(f, CompiledFormula) else compile_formula(f)
-    d, rep = _dominant(c)
-    _, comp, refuted = _components(d)
+    d, rep = reduce_candidates(c)
+    _, comp, refuted = literal_components(d)
     if refuted:
         return _result(c, None)
     start = d.start

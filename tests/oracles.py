@@ -34,6 +34,11 @@ def vspec_values(vspec) -> list[Fraction]:
     return [Fraction(u, grid) for u in range(grid + 1)]
 
 
+def occurring_variables(f) -> set[int]:
+    """Indices of variables that occur in at least one slot."""
+    return {lit.var for clause in f.clauses for lit in clause}
+
+
 def occurrence_profile(f) -> list[int]:
     """Slot counts per variable: entry j-1 is the number of slots holding x_j.
 
@@ -49,7 +54,7 @@ def occurrence_profile(f) -> list[int]:
 def brute_force_solve(f) -> bool:
     """Satisfiability by exhaustive enumeration over the full value grid."""
     vals = vspec_values(f.vspec)
-    variables = sorted(f.variables())
+    variables = sorted(occurring_variables(f))
     if not variables:
         return True
     for combo in itertools.product(vals, repeat=len(variables)):

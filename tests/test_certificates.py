@@ -33,7 +33,7 @@ from rsat import (
 )
 from rsat.certificates import DEFAULT_FIND_BUDGET, _chain_graph
 from rsat.formula import signs_disjoint
-from rsat.solver import _order_graph, _tarjan, compile_formula, literal_components
+from rsat.solver import compile_formula, literal_components, reduce_candidates
 from oracles import exhaustive_bicycle, ring_formula
 
 
@@ -573,28 +573,31 @@ def test_chain_graph_disjointness_matches_literals(token):
     for seed in range(70_000, 70_010):
         f = sample_formula(GenConfig(k=2, n=24, m=72, vspec=vspec_from_token(token), seed=seed))
         c = compile_formula(f)
-        _, disjoint = _chain_graph(c, *literal_components(c)[:2])
+        d, _ = reduce_candidates(c)
+        # the rule on every candidate's ranks, and on the reduced ranks the finders read
+        rules = [_chain_graph(form, *literal_components(form)[:2])[1] for form in (c, d)]
         lits = [lit for clause in f.clauses for lit in clause]
         for a, b in itertools.product(range(len(lits)), repeat=2):
             if c.var[a] == c.var[b]:
-                assert disjoint(a, b) == signs_disjoint(lits[a], lits[b]), (seed, a, b)
+                expected = signs_disjoint(lits[a], lits[b])
+                assert [disjoint(a, b) for disjoint in rules] == [expected] * 2, (seed, a, b)
                 ties += c.ge[a] != c.ge[b] and c.rank[a] == c.rank[b]
     assert ties > 0 or token == "continuous"
 
 
 @pytest.mark.parametrize("token", ["continuous", "finite:2", "finite:3", "finite:5", "dyadic:2"])
 def test_chain_graph_is_the_same_over_every_candidate(token):
-    # the finders read the components over non-dominated candidates; the
-    # chain graph must not change, successor lists and key order included
+    # the finders build the chain graph on the reduced form, its ranks and
+    # components; it must not change, successor lists and key order included
     kept = 0
     for seed in range(60):
         n = 4 + seed % 20
         cfg = GenConfig(k=2, n=n, m=n + (seed * 5) % (2 * n), vspec=vspec_from_token(token),
                         seed=71_000 + seed, distinct_vars_per_clause=seed % 2 == 1)
         c = compile_formula(sample_formula(cfg))
-        nodes, succ = _order_graph(c)
-        full, _ = _chain_graph(c, nodes, _tarjan(succ))
-        reduced, _ = _chain_graph(c, *literal_components(c)[:2])
+        full, _ = _chain_graph(c, *literal_components(c)[:2])
+        d, _ = reduce_candidates(c)
+        reduced, _ = _chain_graph(d, *literal_components(d)[:2])
         assert list(full.items()) == list(reduced.items()), seed
         kept += len(full)
     assert kept > 0

@@ -355,6 +355,9 @@ def test_certificate_header_errors_carry_header_line():
         ("c x\ncert snake -1\n", 2, "snake needs ell >= 0, got -1"),
         ("c x\ncert snake 0_6\n", 2, "bad snake header field '0_6'"),
         ("cert snake 0\n0 1:le:1/2\n", 2, "line 2: expected '<clause_index> <lit> <lit>'"),
+        # a negative ell is checked before the chain lines are counted
+        ("cert snake -3\n", 1, "line 1: snake needs ell >= 0, got -3"),
+        ("c x\ncert bicycle -5 2 1\n", 2, "line 2: bicycle needs ell >= 2, got -5"),
     ]
     for body, line, message in cases:
         with pytest.raises(ParseError) as err:

@@ -2,8 +2,9 @@
 every name it imports and catches only errors it names (no bare
 ``except:``, ``Exception`` or ``BaseException``), every module of the
 package reads every private name it defines at top level, and every name
-the package exports or a package module defines publicly at top level is
-read by the package, a script, the benchmark or the acceptance suite
+the package exports or a package module defines publicly at top level,
+and every public method or property of a top-level class, is read by the
+package, a script, the benchmark or the acceptance suite
 (``tests/test_acceptance.py``); a name only unit tests read lives in the
 tests.
 Two scans keep one path per job in the package: only ``sweep.decide``
@@ -60,6 +61,17 @@ def top_level_names(tree: ast.Module):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for name in (n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)):
                 yield name, node.lineno
+
+
+def public_methods(tree: ast.Module):
+    """(class.name, name, line) of every public method and property of a
+    top-level class; private names and dunders are left out."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                        and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item.name, item.lineno
 
 
 def unused_private_names(source: str) -> list[str]:
@@ -175,6 +187,24 @@ def test_every_public_name_is_read():
     dead = [f"{path.name} line {line}: {name}" for path in sorted(PACKAGE.glob("*.py"))
             for name, line in top_level_names(ast.parse(path.read_text(encoding="utf-8")))
             if not name.startswith("_") and name not in read]
+    assert dead == []
+
+
+def test_scan_lists_public_methods():
+    source = (
+        "class A:\n    x: int\n    def run(self):\n        pass\n"
+        "    @property\n    def size(self):\n        return 1\n"
+        "    def _helper(self):\n        pass\n    def __repr__(self):\n        return ''\n"
+        "def top():\n    pass\n"
+    )
+    assert list(public_methods(ast.parse(source))) == [("A.run", "run", 3), ("A.size", "size", 6)]
+
+
+def test_every_public_method_is_read():
+    read = read_anywhere()
+    dead = [f"{path.name} line {line}: {qualified}" for path in sorted(PACKAGE.glob("*.py"))
+            for qualified, name, line in public_methods(ast.parse(path.read_text(encoding="utf-8")))
+            if name not in read]
     assert dead == []
 
 

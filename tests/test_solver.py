@@ -26,8 +26,9 @@ from rsat import (
     vspec_from_token,
 )
 from rsat.formula import signs_disjoint
-from rsat.solver import _clause_masks, _dominant, compile_formula, literal_components
-from oracles import brute_force_count_tight, brute_force_solve, deep_pairs_formula
+from rsat.solver import _clause_masks, compile_formula, literal_components, reduce_candidates
+from oracles import (brute_force_count_tight, brute_force_solve, deep_pairs_formula,
+                     occurring_variables)
 
 
 def le(var, num, den=1):
@@ -266,9 +267,9 @@ def test_digraph_edge_semantics():
 
 
 def assert_reduction_exact(f):
-    """The three promises of ``_dominant`` on ``f``, against Fractions."""
+    """The three promises of ``reduce_candidates`` on ``f``, against Fractions."""
     c = compile_formula(f)
-    d, rep = _dominant(c)
+    d, rep = reduce_candidates(c)
     lits = [lit for clause in f.clauses for lit in clause]
     for j in range(1, f.n + 1):
         kept = range(d.start[j], d.start[j + 1])
@@ -314,7 +315,7 @@ def test_dominant_candidates_hand_cases():
     expected = {1: F(1, 2), 2: F(1, 4), 3: F(3, 4), 4: F(0), 5: F(1, 4)}
     assert kept == {j: [value] for j, value in expected.items()}
     # one candidate makes every literal of every variable hold: all clauses are vacuous
-    assert literal_components(c)[0] == [-1] * 8
+    assert literal_components(d)[0] == [-1] * 8
     assert solve_2rsat_scc(f).witness == expected
 
 
@@ -400,7 +401,7 @@ def test_count_tight_consistent_with_solver():
     for seed in range(60):
         f = sample_formula(GenConfig(k=2, n=4, m=9, vspec=CONTINUOUS, seed=6_000 + seed))
         count = count_tight_satisfying(f)
-        if len(f.variables()) < f.n:
+        if len(occurring_variables(f)) < f.n:
             assert count == 0  # a variable without slots leaves no tight choice
         else:
             assert (count > 0) == solve_complete(f).sat
