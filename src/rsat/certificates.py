@@ -46,8 +46,7 @@ from functools import partial
 from .analytics import snake_length
 from .errors import IndexOutOfRange, OddLength, WrongArity
 from .formula import Formula, Literal, signs_disjoint
-from .solver import (CompiledFormula, check_budget, compile_formula, literal_components,
-                     reduce_candidates)
+from .solver import Ranked, check_budget, compile_formula, literal_components, reduce_candidates
 
 
 class _BudgetExhausted:
@@ -138,7 +137,7 @@ def verify_bicycle(f: Formula, cert: Bicycle) -> bool:
     return pairs[0][0].var == t_vars[cert.i0 - 1] and pairs[-1][1].var == t_vars[cert.i1 - 1]
 
 
-def _chain_graph(d: CompiledFormula, nodes: list[int], comp: list[int]):
+def _chain_graph(d: Ranked, nodes: list[int], comp: list[int]):
     """The closed-walk chain graph of width-2 ``d``, a reduced form, from
     the slot nodes and components ``literal_components(d)`` gives: its
     successor lists and the disjointness rule.
@@ -204,7 +203,7 @@ def find_bicycle(f: Formula):
 
     Returns a Bicycle that ``verify_bicycle`` accepted, or None.
     """
-    d, _ = reduce_candidates(compile_formula(f))
+    d = reduce_candidates(compile_formula(f))
     var = d.var
     successors, _ = _chain_graph(d, *literal_components(d)[:2])
     for start in successors:
@@ -294,7 +293,7 @@ def find_snake(f: Formula, budget: int = DEFAULT_FIND_BUDGET):
     does, before any search.
     """
     check_budget(budget)
-    d, _ = reduce_candidates(compile_formula(f))
+    d = reduce_candidates(compile_formula(f))
     var = d.var
     nodes, comp, refuted = literal_components(d)
     if not refuted or f.m < 7:

@@ -212,10 +212,10 @@ def _cmd_sweep(args) -> int:
     )
     results = run_sweep(cfg)
     _write_out(render_sweep_csv(results), args.out)
+    report = render_limited_report(results)
+    if args.out is not None:  # always, so no report of an earlier run survives
+        _write_out(report, args.out + ".limited.csv")
     if any(r.limited for r in results):
-        report = render_limited_report(results)
-        if args.out is not None:
-            _write_out(report, args.out + ".limited.csv")
         sys.stderr.write(report)
     return EXIT_OK
 

@@ -2,26 +2,27 @@
 
 Deciding a formula depends only on the order of the bounds within each
 variable (the order view of regular signed literals; Béjar, Hähnle and
-Manyà 2001).  So a formula is compiled once into flat per-slot arrays:
-the variable, a ``>=`` bit and the global rank of the bound.  Variable j's
-*candidates*, its bounds deduplicated and ascending ([0] when it does not
-occur), hold ranks ``start[j]`` to ``start[j + 1] - 1``.  Restricting each
-variable to its candidates is sound and complete: any satisfying
-interpretation can be slid onto an endpoint of the interval cut out by its
-satisfied literals, and those endpoints are literal bounds.
-:func:`compile_formula` builds the form from a Formula, and
-:func:`compile_slots` from the sampler's integer draws, so a sweep builds
-no Fraction.
+Manyà 2001).  So a formula is compiled once into checked per-slot arrays:
+the variable, a ``>=`` bit and an integer that orders like the bound
+within its variable; :func:`compile_formula` builds them from a Formula,
+and :func:`compile_slots` from the sampler's draws, so a sweep builds no
+Fraction.  Compiling ranks nothing.  Variable j's *candidates*, its
+bounds deduplicated and ascending ([0] when it does not occur), get ranks
+``start[j]`` to ``start[j + 1] - 1`` from the stage that reads them.
+Restricting each variable to its candidates is sound and complete: any
+satisfying interpretation can be slid onto an endpoint of the interval
+cut out by its satisfied literals, and those endpoints are literal bounds.
 
 * :func:`solve_complete` -- for every k, backtracking with unit
-  propagation over per-variable candidate bitmasks.  The search is
-  iterative: an explicit stack of open nodes, so its depth does not depend
-  on the interpreter's recursion limit, and a trail of (variable, old
-  mask) entries undone on backtrack.  Occurrence lists send propagation
-  only to the clauses of variables narrowed since the last fixpoint.  It
-  branches on the first unsatisfied clause with the fewest live literals
-  and takes a leaf's lowest candidates, so it builds the same tree, node
-  for node, as the copy-per-branch recursion it replaced.
+  propagation over bitmasks of every candidate, as
+  :func:`rank_candidates` ranks them.  The search is iterative: an
+  explicit stack of open nodes, so its depth does not depend on the
+  interpreter's recursion limit, and a trail of (variable, old mask)
+  entries undone on backtrack.  Occurrence lists send propagation only to
+  the clauses of variables narrowed since the last fixpoint.  It branches
+  on the first unsatisfied clause with the fewest live literals and takes
+  a leaf's lowest candidates, so it builds the same tree, node for node,
+  as the copy-per-branch recursion it replaced.
 
 * :func:`solve_2rsat_scc` -- for k = 2, the 2-SAT algorithm of Aspvall,
   Plass and Tarjan (1979), on the variables' *non-dominated* candidates.
@@ -29,23 +30,23 @@ no Fraction.
   every literal true that it makes true; moving a satisfying value onto
   the dominating candidate keeps every clause true, so dropping dominated
   candidates keeps satisfiability, and keeps which slots on one variable
-  are sign-disjoint.  :func:`reduce_candidates` keeps one candidate per
-  maximal run of ``<=`` literals in bound order, plus one when the order
-  ends in ``>=`` literals, about a quarter of the candidates of a
-  continuous n = 2000 trial.  A variable with kept candidates
-  d_0 < ... < d_{N-1} owns N - 1 node pairs of the implication digraph,
-  one per gap: node 2h is ``x <= d_r`` and node 2h+1 is ``x >= d_{r+1}``,
-  so a node's complement is ``id ^ 1`` and no node lacks one.  A literal
-  true on every kept candidate has no node; its clause is vacuous.  UNSAT
-  iff some node shares a strongly connected component with its
-  complement.  The decider and both certificate finders run the same
-  stages: compile, :func:`reduce_candidates`, then
+  are sign-disjoint.  :func:`reduce_candidates` ranks only those, in one
+  sort and one pass of the slots: one per maximal run of ``<=`` literals
+  in bound order, plus one when the order ends in ``>=`` literals, about
+  a quarter of the candidates of a continuous n = 2000 trial.  A variable
+  with kept candidates d_0 < ... < d_{N-1} owns N - 1 node pairs of the
+  implication digraph, one per gap: node 2h is ``x <= d_r`` and node
+  2h+1 is ``x >= d_{r+1}``, so a node's complement is ``id ^ 1`` and no
+  node lacks one.  A literal true on every kept candidate has no node;
+  its clause is vacuous.  UNSAT iff some node shares a strongly connected
+  component with its complement.  The decider and both certificate
+  finders run the same stages: compile, :func:`reduce_candidates`, then
   :func:`literal_components` on the reduced form.
 
 The two stay independent so they can cross-validate; the complete
-decider searches every candidate.  Both check their witness on the ranks
-of every candidate before they report SAT; witnesses are *tight*, every
-value a candidate of its variable.
+decider searches every candidate.  Both check their witness against the
+numerators of every slot before they report SAT; witnesses are *tight*,
+every value a candidate of its variable.
 """
 
 from __future__ import annotations
@@ -53,9 +54,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, compress
 from math import lcm
-from operator import eq, not_
+from operator import eq
 from typing import Optional
 
 from .errors import InvalidConfig, ResourceLimit, WrongArity
@@ -88,10 +88,25 @@ class SolveResult:
 
 @dataclass(frozen=True)
 class CompiledFormula:
-    """Slot i, in clause i // k, is ``x_var[i] <= d`` (``>=`` when ``ge[i]``)
-    for the candidate d of global rank ``rank[i]``.  ``values`` lists the
-    candidates by rank; it is None when compiled from integer draws, and
-    then a SAT result carries no witness."""
+    """Slot i, in clause i // k, is ``x_var[i] <= b`` (``>=`` when ``ge[i]``);
+    ``num[i]`` < ``2**bits`` is b times a scale fixed per variable.
+    ``bounds`` lists each b; it is None when compiled from integer draws,
+    and then a SAT result carries no witness."""
+
+    k: int
+    n: int
+    var: list[int]
+    ge: list[int]
+    num: list[int]
+    bits: int
+    bounds: Optional[list[Fraction]]
+
+
+@dataclass(frozen=True)
+class Ranked:
+    """Slot i is ``x_var[i] <= d`` (``>=`` when ``ge[i]``) for the candidate
+    d of global rank ``rank[i]``; candidate g is the bound of slot
+    ``rep[g]``, or 0 when that is -1 (a variable with no literal)."""
 
     k: int
     n: int
@@ -99,23 +114,7 @@ class CompiledFormula:
     ge: list[int]
     rank: list[int]
     start: list[int]  # n + 2 entries; start[0] is unused
-    values: Optional[list[Fraction]]
-
-
-def _compile(k, n, var, ge, num, shift, bounds=None) -> CompiledFormula:
-    """Rank integer bounds: ``num[i]`` orders like slot i's bound within its
-    variable and fits in ``shift`` bits, so one sort of the packed
-    (variable, bound) keys orders every variable's candidates."""
-    keys = [(j << shift) | b for j, b in zip(var, num)]
-    present = set(var)
-    uniq = sorted(set(keys).union(j << shift for j in range(1, n + 1) if j not in present))
-    index = dict(zip(uniq, range(len(uniq))))
-    start = [0, *(bisect_left(uniq, j << shift) for j in range(1, n + 2))]
-    values = None
-    if bounds is not None:
-        bound_of = dict(zip(keys, bounds))
-        values = [bound_of.get(key, ZERO) for key in uniq]
-    return CompiledFormula(k, n, var, ge, list(map(index.__getitem__, keys)), start, values)
+    rep: list[int]
 
 
 def compile_formula(f: Formula) -> CompiledFormula:
@@ -130,7 +129,7 @@ def compile_formula(f: Formula) -> CompiledFormula:
         scale[j] = lcm(scale.get(j, 1), d)
     num = [b.numerator * (scale[j] // d) for j, b, d in zip(var, bounds, dens)]
     ge = [int(lit.rel is Rel.GE) for lit in lits]
-    return _compile(f.k, f.n, var, ge, num, max(num, default=0).bit_length(), bounds)
+    return CompiledFormula(f.k, f.n, var, ge, num, max(num, default=0).bit_length(), bounds)
 
 
 def compile_slots(k: int, n: int, denominator: int, var, ge, num) -> CompiledFormula:
@@ -147,37 +146,55 @@ def compile_slots(k: int, n: int, denominator: int, var, ge, num) -> CompiledFor
     sides = [denominator - b if e else b for e, b in zip(ge, num)]
     if sides and not (0 <= min(sides) and max(sides) < denominator):
         raise ValueError("bound outside [0, 1] or innocuous literal (x <= 1 or x >= 0)")
-    return _compile(k, n, var, ge, num, denominator.bit_length())
+    return CompiledFormula(k, n, var, ge, num, denominator.bit_length(), None)
+
+
+def rank_candidates(c: CompiledFormula) -> Ranked:
+    """``c`` over every candidate, for the readers of every candidate: one
+    sort of the packed (variable, numerator) keys orders them all."""
+    shift = c.bits
+    keys = [(j << shift) | b for j, b in zip(c.var, c.num)]
+    slot = dict(zip(keys, range(len(keys))))  # a slot of each key
+    present = set(c.var)
+    uniq = sorted(slot.keys() | {j << shift for j in range(1, c.n + 1) if j not in present})
+    index = dict(zip(uniq, range(len(uniq))))
+    start = [0, *(bisect_left(uniq, j << shift) for j in range(1, c.n + 2))]
+    return Ranked(c.k, c.n, c.var, c.ge, list(map(index.__getitem__, keys)), start,
+                  [slot.get(key, -1) for key in uniq])
 
 
 def _check_witness(c: CompiledFormula, wit: list[int]) -> None:
-    """Raise unless the rank witness (a global rank per variable) satisfies every clause."""
-    truth = [wit[j] >= g if e else wit[j] <= g for j, e, g in zip(c.var, c.ge, c.rank)]
-    if not all(any(truth[i : i + c.k]) for i in range(0, len(truth), c.k)):
+    """Raise unless ``wit``, per variable a value on its ``num`` scale, satisfies ``c``."""
+    truth = [wit[j] >= b if e else wit[j] <= b for j, e, b in zip(c.var, c.ge, c.num)]
+    if not all(map(any, zip(*[iter(truth)] * c.k))):  # each clause's k slots
         raise AssertionError("decider produced an invalid witness")
 
 
 def _result(c: CompiledFormula, wit: Optional[list[int]]) -> SolveResult:
+    """Check and report ``wit``, per variable the slot of its bound (-1: 0)."""
     if wit is None:
         return SolveResult(False)
-    _check_witness(c, wit)
-    if c.values is None:
+    _check_witness(c, [c.num[s] if s >= 0 else 0 for s in wit])
+    if c.bounds is None:
         return SolveResult(True)
-    return SolveResult(True, {j: c.values[wit[j]] for j in range(1, c.n + 1)})
+    return SolveResult(True, {j: c.bounds[s] if s >= 0 else ZERO
+                              for j, s in enumerate(wit) if j})
 
 
 def candidate_domains(f: Formula) -> dict[int, list[Fraction]]:
     """Per-variable sorted candidate values: the bounds of the variable's own
     literals, deduplicated; [0] for variables without occurrences."""
     c = compile_formula(f)
-    return {j: c.values[c.start[j] : c.start[j + 1]] for j in range(1, f.n + 1)}
+    r = rank_candidates(c)
+    values = [c.bounds[s] if s >= 0 else ZERO for s in r.rep]
+    return {j: values[r.start[j] : r.start[j + 1]] for j in range(1, f.n + 1)}
 
 
 # ---------------------------------------------------------------------------
 # Complete backtracking decider
 
 
-def _clause_masks(c: CompiledFormula):
+def _clause_masks(c: Ranked):
     """Clauses as (var, candidate-bitmask) pairs; masks select satisfying
     ranks.  Clauses one variable satisfies on every candidate are dropped.
     ``full[j]`` is variable j's all-candidates mask (``full[0]`` is 0)."""
@@ -206,7 +223,8 @@ def solve_complete(
     """
     check_budget(budget)
     c = f if isinstance(f, CompiledFormula) else compile_formula(f)
-    masks, dom = _clause_masks(c)
+    r = rank_candidates(c)
+    masks, dom = _clause_masks(r)
     occ: list[list[int]] = [[] for _ in dom]  # clause ids per variable
     for cid, clause in enumerate(masks):
         for j, _ in clause:
@@ -223,8 +241,8 @@ def solve_complete(
         if _propagate(dom, trail, masks, occ, work):
             active, branch = _unsatisfied(dom, masks, active)
             if branch is None:  # every clause holds: take the lowest candidates left
-                return _result(c, [0] + [c.start[j] + (d & -d).bit_length() - 1
-                                         for j, d in enumerate(dom) if j])
+                return _result(c, [-1] + [r.rep[r.start[j] + (d & -d).bit_length() - 1]
+                                          for j, d in enumerate(dom) if j])
             live = [(j, mask) for j, mask in masks[branch] if dom[j] & mask]
             frames.append([active, live, 0, len(trail)])
         while frames:  # undo to the deepest node with a branch left, and take it
@@ -323,7 +341,7 @@ class ImplicationDigraph:
     succ: list[list[int]]
 
 
-def _order_graph(c: CompiledFormula) -> tuple[list[int], list[list[int]]]:
+def _order_graph(c: Ranked) -> tuple[list[int], list[list[int]]]:
     """The order-encoding digraph of width-2 ``c``: the node of every slot
     (-1 for a literal that holds on every candidate, whose clause is then
     vacuous) and every node's successors, the clause contrapositives plus
@@ -353,37 +371,45 @@ def _order_graph(c: CompiledFormula) -> tuple[list[int], list[list[int]]]:
     return nodes, succ
 
 
-def reduce_candidates(c: CompiledFormula) -> tuple[CompiledFormula, list[int]]:
-    """``c`` over each variable's non-dominated candidates, and the global
-    rank in ``c`` of every kept candidate's representative value.
-
-    Sort a variable's literals by bound, ``>=`` before ``<=`` on ties.
-    Each maximal run of ``<=`` literals makes one candidate, represented
-    by the last ``>=`` bound before the run, else by the run's first
-    bound; a list that ends in ``>=`` literals adds one at the last bound,
-    and a variable with no literal keeps its one candidate.  A ``<=``
-    literal takes its run's candidate and a ``>=`` literal the candidate
-    that ends its run, so at every representative each literal is as true
-    as in ``c``.
+def reduce_candidates(c: CompiledFormula) -> Ranked:
+    """``c`` over each variable's non-dominated candidates, from one sort of
+    the slots (by variable, then bound, ``>=`` before ``<=`` on ties) and
+    one walk; the other candidates get no rank.  A ``<=`` literal that
+    opens a run makes one candidate, shared by the run and represented by
+    the variable's last ``>=`` slot so far, else its own; a ``>=`` literal
+    takes the next candidate.  A variable that ends in ``>=`` literals, or
+    has none, adds one at its last bound (0 for none).  So at every
+    representative each literal is as true as at every candidate it
+    stands for.
     """
-    ge, rank, start = c.ge, c.rank, c.start
-    size = start[-1]
-    has_ge = set(compress(rank, ge))
-    has_le = set(compress(rank, map(not_, ge)))
-    first = set(start[1:])  # every variable's first candidate, and the end
-    # candidate g starts a kept one at a <= literal that opens a run, or
-    # at the top of a variable that ends in >= literals or has none
-    starts = [
-        (g in has_ge or g in first or g - 1 not in has_le) if g in has_le else g + 1 in first
-        for g in range(size)
-    ]
-    before = [0, *accumulate(starts)]  # kept candidates below candidate g
-    rep = [g if g in has_ge or g in first else g - 1 for g in compress(range(size), starts)]
-    reduced = [before[g] if e else before[g + 1] - 1 for e, g in zip(ge, rank)]
-    return CompiledFormula(c.k, c.n, c.var, ge, reduced, [before[g] for g in start], None), rep
+    var, ge, n = c.var, c.ge, c.n
+    keys = [((j << c.bits | b) << 1) | (e ^ 1) for j, e, b in zip(var, ge, c.num)]
+    order = [*sorted(range(len(var)), key=keys.__getitem__), len(var)]
+    ends = [*var, n + 1]  # the last slot of order, on variable n + 1, closes the walk
+    rank, start, rep = [0] * len(var), [0] * (n + 2), []
+    j, last, run = 0, -1, True  # the walk's variable, its last >= slot, an open <= run
+    for i in order:
+        v = ends[i]
+        if v != j:
+            for h in range(j + 1, v + 1):  # close h - 1
+                if not run:  # it ends in >= literals, or has none
+                    rep.append(last)
+                start[h] = len(rep)
+                last, run = -1, False
+            if v > n:
+                break
+            j = v
+        if ge[i]:
+            rank[i], last, run = len(rep), i, False
+        elif run:
+            rank[i] = len(rep) - 1
+        else:  # a <= literal opens a run
+            rank[i], run = len(rep), True
+            rep.append(i if last < 0 else last)
+    return Ranked(c.k, n, var, ge, rank, start, rep)
 
 
-def literal_components(c: CompiledFormula) -> tuple[list[int], list[int], bool]:
+def literal_components(c: Ranked) -> tuple[list[int], list[int], bool]:
     """Node of every slot (-1 where none), the component of every node, and
     whether some node shares a component with its complement, which refutes
     ``c``, in the order digraph of ``c`` over its own candidates; the
@@ -399,7 +425,7 @@ def build_implication_digraph(f: Formula, domains=None) -> ImplicationDigraph:
     """The labelled order-encoding digraph of ``f`` over every candidate.
     ``domains``, if given, must be ``candidate_domains(f)``; the view
     derives them itself."""
-    c = compile_formula(f)
+    c = rank_candidates(compile_formula(f))
     _, succ = _order_graph(c)
     nodes = [
         key
@@ -459,20 +485,20 @@ def solve_2rsat_scc(f: Formula | CompiledFormula) -> SolveResult:
     a literal counts as true when its component is closer to the sinks
     than its complement's, and each variable takes its smallest
     non-dominated candidate d_r with ``x <= d_r`` true (its largest when
-    none is), checked against every clause on the full ranks.
+    none is), checked against every clause on the slots' numerators.
     """
     c = f if isinstance(f, CompiledFormula) else compile_formula(f)
-    d, rep = reduce_candidates(c)
+    d = reduce_candidates(c)
     _, comp, refuted = literal_components(d)
     if refuted:
         return _result(c, None)
     start = d.start
-    wit = [0] * (c.n + 1)
+    wit = [-1] * (c.n + 1)
     for j in range(1, c.n + 1):
         g, a, last = start[j], 2 * (start[j] - j + 1), start[j + 1] - 1
         while g < last and comp[a] > comp[a + 1]:
             g += 1
             a += 2
-        wit[j] = rep[g]
+        wit[j] = d.rep[g]
     return _result(c, wit)
 

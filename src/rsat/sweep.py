@@ -113,7 +113,7 @@ def _run_cell(args) -> SweepResult:
     for trial in range(cfg.trials):
         seed = stream_seed(cell_seed, trial)
         gen = GenConfig(cfg.k, n, m, vspec, cfg.distinct_vars_per_clause, seed)
-        # draws to ranks to verdict: no Fraction, Literal or Formula
+        # draws to checked slots to verdict: no Fraction, Literal or Formula
         f = compile_slots(cfg.k, n, *draw_slots(gen))
         try:
             sat += decide(f, cfg.decider, cfg.budget).sat

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from itertools import accumulate, compress
+from operator import not_
 
 from rsat import (
     BUDGET_EXHAUSTED,
@@ -24,6 +26,7 @@ from rsat import (
     verify_bicycle,
 )
 from rsat.formula import vspec_grid
+from rsat.solver import rank_candidates
 
 
 def vspec_values(vspec) -> list[Fraction]:
@@ -225,3 +228,34 @@ def ring_formula(length: int, closed: bool = True):
         (Literal(i, Rel.GE, high), Literal(i % n + 1, Rel.LE, low)) for i in range(1, length + 1)
     )
     return Formula(2, n, clauses, CONTINUOUS)
+
+
+def two_stage_reduction(c):
+    """The non-dominated candidates of compiled ``c`` in two stages, the
+    reference for ``reduce_candidates``: rank every candidate, then keep
+    candidates by the sets of ranks that hold ``>=`` and ``<=`` literals.
+
+    Returns the reduced rank of every slot, ``start`` and each kept
+    candidate's representative slot (-1 for the 0 of a variable with no
+    literal).  A maximal run of ``<=`` literals in bound order (``>=``
+    before ``<=`` on ties) makes one candidate, represented by the last
+    ``>=`` bound before the run, else by the run's first bound; a
+    variable that ends in ``>=`` literals adds one at the last bound, and
+    a variable with no literal keeps its one candidate.
+    """
+    full = rank_candidates(c)
+    ge, rank, start = full.ge, full.rank, full.start
+    size = start[-1]
+    has_ge = set(compress(rank, ge))
+    has_le = set(compress(rank, map(not_, ge)))
+    first = set(start[1:])  # every variable's first candidate, and the end
+    # candidate g starts a kept one at a <= literal that opens a run, or
+    # at the top of a variable that ends in >= literals or has none
+    starts = [
+        (g in has_ge or g in first or g - 1 not in has_le) if g in has_le else g + 1 in first
+        for g in range(size)
+    ]
+    before = [0, *accumulate(starts)]  # kept candidates below candidate g
+    rep = [g if g in has_ge or g in first else g - 1 for g in compress(range(size), starts)]
+    reduced = [before[g] if e else before[g + 1] - 1 for e, g in zip(ge, rank)]
+    return reduced, [before[g] for g in start], [full.rep[g] for g in rep]

@@ -33,7 +33,7 @@ from rsat import (
 )
 from rsat.certificates import DEFAULT_FIND_BUDGET, _chain_graph
 from rsat.formula import signs_disjoint
-from rsat.solver import compile_formula, literal_components, reduce_candidates
+from rsat.solver import compile_formula, literal_components, rank_candidates, reduce_candidates
 from oracles import exhaustive_bicycle, ring_formula
 
 
@@ -572,8 +572,8 @@ def test_chain_graph_disjointness_matches_literals(token):
     ties = 0
     for seed in range(70_000, 70_010):
         f = sample_formula(GenConfig(k=2, n=24, m=72, vspec=vspec_from_token(token), seed=seed))
-        c = compile_formula(f)
-        d, _ = reduce_candidates(c)
+        c = rank_candidates(compile_formula(f))
+        d = reduce_candidates(compile_formula(f))
         # the rule on every candidate's ranks, and on the reduced ranks the finders read
         rules = [_chain_graph(form, *literal_components(form)[:2])[1] for form in (c, d)]
         lits = [lit for clause in f.clauses for lit in clause]
@@ -595,8 +595,9 @@ def test_chain_graph_is_the_same_over_every_candidate(token):
         cfg = GenConfig(k=2, n=n, m=n + (seed * 5) % (2 * n), vspec=vspec_from_token(token),
                         seed=71_000 + seed, distinct_vars_per_clause=seed % 2 == 1)
         c = compile_formula(sample_formula(cfg))
-        full, _ = _chain_graph(c, *literal_components(c)[:2])
-        d, _ = reduce_candidates(c)
+        every = rank_candidates(c)
+        full, _ = _chain_graph(every, *literal_components(every)[:2])
+        d = reduce_candidates(c)
         reduced, _ = _chain_graph(d, *literal_components(d)[:2])
         assert list(full.items()) == list(reduced.items()), seed
         kept += len(full)

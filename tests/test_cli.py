@@ -403,6 +403,21 @@ def test_sweep_reports_limited_trials(capsys, tmp_path):
         assert int(cell[5]) == int(row[5]) - int(row[6])  # trials leave out the limited
 
 
+def test_sweep_out_replaces_an_earlier_limited_report(capsys, tmp_path):
+    out_path = tmp_path / "o.csv"
+    report_path = Path(str(out_path) + ".limited.csv")
+    argv = ["sweep", "--k", "3", "--v", "continuous", "--n", "8", "--c", "6", "--trials", "3",
+            "--out", str(out_path)]
+    code, out, err = run(capsys, *argv, "--budget", "1")
+    assert code == 0 and out == "" and err == report_path.read_text()
+    assert report_path.read_text().splitlines()[1].endswith(",3,3,1")  # requested, limited, flagged
+    assert out_path.read_text().splitlines()[1].split(",")[5] == "0"
+    code, out, err = run(capsys, *argv)  # the default budget decides every trial
+    assert code == 0 and out == "" and err == ""
+    assert out_path.read_text().splitlines()[1].split(",")[5] == "3"
+    assert report_path.read_text() == "k,v,n,m,c,requested,limited,flagged\n"
+
+
 def test_cert_verify_missing_cert_is_parse_error(capsys, tmp_path):
     path = tmp_path / "f.rsat"
     path.write_text("p rsat 2 2 1 continuous\n1:le:1/2 2:ge:1/2\n")

@@ -26,9 +26,11 @@ from rsat import (
     vspec_from_token,
 )
 from rsat.formula import signs_disjoint
-from rsat.solver import _clause_masks, compile_formula, literal_components, reduce_candidates
+from rsat.sampler import draw_slots
+from rsat.solver import (_clause_masks, compile_formula, compile_slots, literal_components,
+                         rank_candidates, reduce_candidates)
 from oracles import (brute_force_count_tight, brute_force_solve, deep_pairs_formula,
-                     occurring_variables)
+                     occurring_variables, two_stage_reduction)
 
 
 def le(var, num, den=1):
@@ -177,9 +179,6 @@ def test_complete_search_tree_pinned(k, n, m, token, distinct, seed, nodes, sat,
 def test_complete_search_tree_pinned_on_sweep_draws(m, seed, nodes, sat):
     # the sweep-k3-complete benchmark's shape (k=3, n=24, c = 10, 21/2, 11),
     # compiled from integer draws as run_sweep does; such a form has no witness
-    from rsat.sampler import draw_slots
-    from rsat.solver import compile_slots
-
     f = compile_slots(3, 24, *draw_slots(GenConfig(k=3, n=24, m=m, vspec=CONTINUOUS, seed=seed)))
     assert_search_pinned(f, nodes, sat, None)
 
@@ -269,11 +268,12 @@ def test_digraph_edge_semantics():
 def assert_reduction_exact(f):
     """The three promises of ``reduce_candidates`` on ``f``, against Fractions."""
     c = compile_formula(f)
-    d, rep = reduce_candidates(c)
+    d = reduce_candidates(c)
     lits = [lit for clause in f.clauses for lit in clause]
+    domains = candidate_domains(f)
     for j in range(1, f.n + 1):
         kept = range(d.start[j], d.start[j + 1])
-        values = [c.values[rep[g]] for g in kept]
+        values = [representative(c, d, g) for g in kept]
         assert values == sorted(set(values)) and values  # ascending candidates of j
         slots = [i for i, lit in enumerate(lits) if lit.var == j]
         for i in slots:  # a slot is as true at a representative as its literal
@@ -282,14 +282,19 @@ def assert_reduction_exact(f):
                 assert truth == eval_literal(lits[i], value), (j, i, value)
         # every full candidate is dominated by a kept one
         kept_sets = [{i for i in slots if eval_literal(lits[i], v)} for v in values]
-        for value in c.values[c.start[j] : c.start[j + 1]]:
+        for value in domains[j]:
             full = {i for i in slots if eval_literal(lits[i], value)}
             assert any(full <= kept_set for kept_set in kept_sets), (j, value)
         for a, b in product(slots, repeat=2):  # sign-disjointness by reduced ranks
             disjoint = d.ge[a] != d.ge[b] and (
                 d.rank[a] > d.rank[b] if d.ge[a] else d.rank[b] > d.rank[a])
             assert disjoint == signs_disjoint(lits[a], lits[b]), (a, b)
-    return c, d, rep
+    return c, d
+
+
+def representative(c, d, g):
+    """The value of reduced candidate g of ``d``, reduced from ``c``."""
+    return c.bounds[d.rep[g]] if d.rep[g] >= 0 else F(0)
 
 
 @pytest.mark.parametrize("distinct", [False, True], ids=["repeats", "distinct"])
@@ -309,14 +314,56 @@ def test_dominant_candidates_hand_cases():
         (ge(3, 1, 4), ge(3, 3, 4)),  # x3 has only >= literals; x4 occurs nowhere
         (ge(5, 1, 4), le(5, 3, 4)),  # the run x5 <= 3/4 is represented by 1/4
     ), CONTINUOUS)
-    c, d, rep = assert_reduction_exact(f)
-    kept = {j: [c.values[rep[g]] for g in range(d.start[j], d.start[j + 1])]
+    c, d = assert_reduction_exact(f)
+    kept = {j: [representative(c, d, g) for g in range(d.start[j], d.start[j + 1])]
             for j in range(1, 6)}
     expected = {1: F(1, 2), 2: F(1, 4), 3: F(3, 4), 4: F(0), 5: F(1, 4)}
     assert kept == {j: [value] for j, value in expected.items()}
     # one candidate makes every literal of every variable hold: all clauses are vacuous
     assert literal_components(d)[0] == [-1] * 8
     assert solve_2rsat_scc(f).witness == expected
+
+
+def assert_reduction_matches_two_stages(c):
+    """The one-pass reduction of compiled ``c`` against the two-stage oracle:
+    the same reduced ranks, ``start``, and representative bounds."""
+    d = reduce_candidates(c)
+    rank, start, rep = two_stage_reduction(c)
+    assert (d.rank, d.start) == (rank, start)
+    assert [c.num[s] if s >= 0 else 0 for s in d.rep] == [c.num[s] if s >= 0 else 0 for s in rep]
+    if c.bounds is not None:
+        assert [c.bounds[s] if s >= 0 else None for s in d.rep] == \
+            [c.bounds[s] if s >= 0 else None for s in rep]
+
+
+@pytest.mark.parametrize("distinct", [False, True], ids=["repeats", "distinct"])
+@pytest.mark.parametrize("token", ["continuous", "finite:2", "finite:3", "finite:5", "dyadic:2"])
+def test_one_pass_reduction_matches_two_stages(token, distinct):
+    unused = 0
+    for seed in range(40):
+        n = (2, 3, 7, 12, 50, 200)[seed % 6]
+        m = 1 + (seed * 13) % (3 * n) if seed % 3 else 1 + seed % 4  # few clauses, unused variables
+        cfg = GenConfig(k=2, n=n, m=m, vspec=vspec_from_token(token), seed=91_000 + seed,
+                        distinct_vars_per_clause=distinct)
+        f = sample_formula(cfg)
+        assert_reduction_matches_two_stages(compile_formula(f))
+        assert_reduction_matches_two_stages(compile_slots(2, n, *draw_slots(cfg)))
+        unused += f.n - len(occurring_variables(f))
+    assert unused > 100
+
+
+@pytest.mark.parametrize("occurring", [(), (1,), (5,), (3,), (1, 5), (2, 4), (3, 3)])
+def test_one_pass_reduction_around_variables_with_no_literal(occurring):
+    # of x1..x5 only ``occurring`` have literals: absent ones come before the
+    # first, between and after the last occurring variable
+    clauses = tuple((le(j, 1, 4), ge(j, 3, 4)) for j in occurring)
+    clauses += tuple((ge(j, 1, 2), le(j, 1, 2)) for j in occurring)
+    f = Formula(2, 5, clauses, CONTINUOUS)
+    assert_reduction_matches_two_stages(compile_formula(f))
+    d = reduce_candidates(compile_formula(f))
+    for j in set(range(1, 6)) - set(occurring):
+        assert d.start[j + 1] - d.start[j] == 1 and d.rep[d.start[j]] == -1
+    assert d.start[6] == len(d.rep)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +378,7 @@ def count_tight_satisfying(f: Formula) -> int:
     contribute two choices.  A variable with no occurrence has no slot to
     pick from (its one candidate has weight 0), so the count is 0.
     """
-    c = compile_formula(f)
+    c = rank_candidates(compile_formula(f))
     mult = Counter(c.rank)  # slots per candidate
     spans = [range(c.start[j], c.start[j + 1]) for j in range(1, f.n + 1)]
     masks, _ = _clause_masks(c)
@@ -420,8 +467,6 @@ def test_count_tight_consistent_with_solver():
     ],
 )
 def test_compile_slots_rejects_what_literal_and_formula_reject(var, ge, num):
-    from rsat.solver import compile_slots
-
-    assert compile_slots(2, 2, 4, [1, 2], [1, 0], [4, 0]).rank == [0, 1]
+    assert rank_candidates(compile_slots(2, 2, 4, [1, 2], [1, 0], [4, 0])).rank == [0, 1]
     with pytest.raises(ValueError):
         compile_slots(2, 2, 4, var, ge, num)

@@ -309,24 +309,32 @@ def test_decide_runs_one_decider(k, decider, expected, compiled, monkeypatch):
     assert calls == [(expected, True, (), budget)]  # budget goes by keyword
 
 
-def test_rank_witness_check_raises_on_corrupted_witness():
+def assert_witness_check_raises_on_corrupted_witness(solve):
     f = sample_formula(GenConfig(k=2, n=30, m=20, vspec=CONTINUOUS, seed=31,
                                  distinct_vars_per_clause=True))
-    result = solve_2rsat_scc(f)
+    result = solve(f)
     assert result.sat
     c = compile_formula(f)
-    wit = [0] + [c.values.index(result.witness[j], c.start[j], c.start[j + 1])
-                 for j in range(1, f.n + 1)]
+    # the witness as numerators on each variable's scale: a tight value is a slot's bound
+    num_of = {(j, b): g for j, b, g in zip(c.var, c.bounds, c.num)}
+    wit = [0] + [num_of.get((j, result.witness[j]), 0) for j in range(1, f.n + 1)]
+    assert all(result.witness[j] == 0 or (j, result.witness[j]) in num_of
+               for j in range(1, f.n + 1))
     _check_witness(c, wit)
-    # falsify both literals of the first clause whose literals can be falsified
-    for i in range(0, len(c.var), 2):
-        moved = list(wit)
-        for j, e, g in zip(c.var[i : i + 2], c.ge[i : i + 2], c.rank[i : i + 2]):
-            moved[j] = g - 1 if e else g + 1
-        if all(c.start[j] <= moved[j] < c.start[j + 1] for j in c.var[i : i + 2]):
-            break
+    # falsify both literals of the first clause: one step past each bound
+    moved = list(wit)
+    for j, e, g in zip(c.var[:2], c.ge[:2], c.num[:2]):
+        moved[j] = g - 1 if e else g + 1
     with pytest.raises(AssertionError, match="invalid witness"):
         _check_witness(c, moved)
+
+
+def test_rank_witness_check_raises_on_corrupted_witness():
+    assert_witness_check_raises_on_corrupted_witness(solve_2rsat_scc)
+
+
+def test_witness_check_raises_on_corrupted_complete_witness():
+    assert_witness_check_raises_on_corrupted_witness(rsat.solve_complete)
 
 
 def test_sweep_decider_checks_its_witness(monkeypatch):
@@ -334,5 +342,14 @@ def test_sweep_decider_checks_its_witness(monkeypatch):
     # the all-lowest-candidate witness, which this formula refutes
     monkeypatch.setattr(rsat.solver, "_tarjan", lambda succ: list(range(len(succ))))
     cfg = small_config(vspecs=(Finite(3),), c_grid=(F(2),), trials=3)
+    with pytest.raises(AssertionError, match="invalid witness"):
+        run_sweep(cfg)
+
+
+def test_complete_decider_checks_its_witness(monkeypatch):
+    # a search that finds every clause satisfied at once reads the
+    # all-lowest-candidate witness, which this formula refutes
+    monkeypatch.setattr(rsat.solver, "_unsatisfied", lambda dom, masks, active: ([], None))
+    cfg = small_config(vspecs=(Finite(3),), c_grid=(F(2),), trials=3, decider="complete")
     with pytest.raises(AssertionError, match="invalid witness"):
         run_sweep(cfg)
