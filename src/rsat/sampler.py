@@ -49,13 +49,13 @@ from .rng import Stream
 
 @dataclass(frozen=True)
 class GenConfig:
-    """One sampling request.  Eight rules are checked when it is built, before
+    """One sampling request.  Nine rules are checked when it is built, before
     any draw: k, n, m and seed are ints (a bool is not; else a TypeError);
     the two clause-model flags are bools (else a TypeError); k >= 2; n >= 1;
-    m >= 0; k <= n with ``distinct_vars_per_clause``; a slot denominator D
-    (:func:`slot_denominator`) of at most 2^64, since one 64-bit draw makes
-    each encoded side; and D >= k*m with ``distinct_thresholds``, since
-    V \\ {1} holds only D encoded sides."""
+    m >= 0; k <= n with ``distinct_vars_per_clause``; n and the slot
+    denominator D (:func:`slot_denominator`) at most 2^64, since one 64-bit
+    draw picks each variable and makes each encoded side; and D >= k*m with
+    ``distinct_thresholds``, since V \\ {1} holds only D encoded sides."""
 
     k: int
     n: int
@@ -81,6 +81,10 @@ class GenConfig:
         if self.distinct_vars_per_clause and self.k > self.n:
             raise InvalidConfig(
                 f"distinct variables per clause impossible: k={self.k} > n={self.n}"
+            )
+        if self.n > 1 << 64:
+            raise InvalidConfig(
+                f"n must be <= 2^64, got {self.n}; one 64-bit draw picks each variable"
             )
         sides = slot_denominator(self.vspec)
         if sides > 1 << 64:

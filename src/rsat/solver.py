@@ -6,16 +6,16 @@ Manyà 2001).  So a formula is compiled once into checked per-slot arrays:
 the variable, a ``>=`` bit and an integer that orders like the bound
 within its variable; :func:`compile_formula` builds them from a Formula,
 and :func:`compile_slots` from the sampler's draws, so a sweep builds no
-Fraction.  Compiling ranks nothing.  Variable j's *candidates*, its
-bounds deduplicated and ascending ([0] when it does not occur), get ranks
-``start[j]`` to ``start[j + 1] - 1`` from the stage that reads them.
+Fraction.  Compiling ranks nothing.  Variable j's *candidates* are its
+bounds deduplicated and ascending ([0] when it does not occur); each
+decider orders only the candidates it reads.
 Restricting each variable to its candidates is sound and complete: any
 satisfying interpretation can be slid onto an endpoint of the interval
 cut out by its satisfied literals, and those endpoints are literal bounds.
 
 * :func:`solve_complete` -- for every k, backtracking with unit
-  propagation over bitmasks of every candidate, as
-  :func:`rank_candidates` ranks them.  The search is iterative: an
+  propagation over bitmasks of every candidate, bit r for its variable's
+  r-th lowest numerator (:func:`_candidates`).  The search is iterative: an
   explicit stack of open nodes, so its depth does not depend on the
   interpreter's recursion limit, and a trail of (variable, old mask)
   entries undone on backtrack.  Occurrence lists send propagation only to
@@ -30,10 +30,11 @@ cut out by its satisfied literals, and those endpoints are literal bounds.
   every literal true that it makes true; moving a satisfying value onto
   the dominating candidate keeps every clause true, so dropping dominated
   candidates keeps satisfiability, and keeps which slots on one variable
-  are sign-disjoint.  :func:`reduce_candidates` ranks only those, in one
-  sort and one pass of the slots: one per maximal run of ``<=`` literals
-  in bound order, plus one when the order ends in ``>=`` literals, about
-  a quarter of the candidates of a continuous n = 2000 trial.  A variable
+  are sign-disjoint.  :func:`reduce_candidates`, the one stage that
+  builds a :class:`Ranked` form, ranks only those, in one sort and one
+  pass of the slots: one per maximal run of ``<=`` literals in bound
+  order, plus one when the order ends in ``>=`` literals, about a
+  quarter of the candidates of a continuous n = 2000 trial.  A variable
   with kept candidates d_0 < ... < d_{N-1} owns N - 1 node pairs of the
   implication digraph, one per gap: node 2h is ``x <= d_r`` and node
   2h+1 is ``x >= d_{r+1}``, so a node's complement is ``id ^ 1`` and no
@@ -41,7 +42,8 @@ cut out by its satisfied literals, and those endpoints are literal bounds.
   its clause is vacuous.  UNSAT iff some node shares a strongly connected
   component with its complement.  The decider and both certificate
   finders run the same stages: compile, :func:`reduce_candidates`, then
-  :func:`literal_components` on the reduced form.
+  :func:`literal_components` on the reduced form;
+  :func:`build_implication_digraph` labels that digraph.
 
 The two stay independent so they can cross-validate; the complete
 decider searches every candidate.  Both check their witness against the
@@ -51,7 +53,6 @@ every value a candidate of its variable.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -104,9 +105,10 @@ class CompiledFormula:
 
 @dataclass(frozen=True)
 class Ranked:
-    """Slot i is ``x_var[i] <= d`` (``>=`` when ``ge[i]``) for the candidate
-    d of global rank ``rank[i]``; candidate g is the bound of slot
-    ``rep[g]``, or 0 when that is -1 (a variable with no literal)."""
+    """Slot i is ``x_var[i] <= d`` (``>=`` when ``ge[i]``) for the kept
+    candidate d of rank ``rank[i]``, as :func:`reduce_candidates` keeps
+    and ranks them; kept candidate g is the bound of slot ``rep[g]``, or
+    0 when that is -1 (a variable with no literal)."""
 
     k: int
     n: int
@@ -149,20 +151,6 @@ def compile_slots(k: int, n: int, denominator: int, var, ge, num) -> CompiledFor
     return CompiledFormula(k, n, var, ge, num, denominator.bit_length(), None)
 
 
-def rank_candidates(c: CompiledFormula) -> Ranked:
-    """``c`` over every candidate, for the readers of every candidate: one
-    sort of the packed (variable, numerator) keys orders them all."""
-    shift = c.bits
-    keys = [(j << shift) | b for j, b in zip(c.var, c.num)]
-    slot = dict(zip(keys, range(len(keys))))  # a slot of each key
-    present = set(c.var)
-    uniq = sorted(slot.keys() | {j << shift for j in range(1, c.n + 1) if j not in present})
-    index = dict(zip(uniq, range(len(uniq))))
-    start = [0, *(bisect_left(uniq, j << shift) for j in range(1, c.n + 2))]
-    return Ranked(c.k, c.n, c.var, c.ge, list(map(index.__getitem__, keys)), start,
-                  [slot.get(key, -1) for key in uniq])
-
-
 def _check_witness(c: CompiledFormula, wit: list[int]) -> None:
     """Raise unless ``wit``, per variable a value on its ``num`` scale, satisfies ``c``."""
     truth = [wit[j] >= b if e else wit[j] <= b for j, e, b in zip(c.var, c.ge, c.num)]
@@ -183,28 +171,40 @@ def _result(c: CompiledFormula, wit: Optional[list[int]]) -> SolveResult:
 
 def candidate_domains(f: Formula) -> dict[int, list[Fraction]]:
     """Per-variable sorted candidate values: the bounds of the variable's own
-    literals, deduplicated; [0] for variables without occurrences."""
+    literals, deduplicated; [0] for variables without occurrences.  These
+    are the domains :func:`solve_complete` searches."""
     c = compile_formula(f)
-    r = rank_candidates(c)
-    values = [c.bounds[s] if s >= 0 else ZERO for s in r.rep]
-    return {j: values[r.start[j] : r.start[j + 1]] for j in range(1, f.n + 1)}
+    value = {(j, b): x for j, b, x in zip(c.var, c.num, c.bounds)}
+    return {j: [value.get((j, b), ZERO) for b in nums]
+            for j, nums in enumerate(_candidates(c)) if j}
 
 
 # ---------------------------------------------------------------------------
 # Complete backtracking decider
 
 
-def _clause_masks(c: Ranked):
-    """Clauses as (var, candidate-bitmask) pairs; masks select satisfying
-    ranks.  Clauses one variable satisfies on every candidate are dropped.
+def _candidates(c: CompiledFormula) -> list[list[int]]:
+    """Per variable, its distinct numerators ascending, or [0] when it has
+    no literal; entry 0 is empty."""
+    nums: list[set[int]] = [set() for _ in range(c.n + 1)]
+    for j, b in zip(c.var, c.num):
+        nums[j].add(b)
+    return [[], *(sorted(s) if s else [0] for s in nums[1:])]
+
+
+def _clause_masks(c: CompiledFormula, cands: list[list[int]]):
+    """Clauses as (var, candidate-bitmask) pairs; bit r of variable j's mask
+    is its candidate ``cands[j][r]``, and masks select satisfying ones.
+    Clauses one variable satisfies on every candidate are dropped.
     ``full[j]`` is variable j's all-candidates mask (``full[0]`` is 0)."""
-    start, k = c.start, c.k
-    full = [0] + [(1 << (start[j + 1] - start[j])) - 1 for j in range(1, c.n + 1)]
+    k = c.k
+    full = [(1 << len(nums)) - 1 for nums in cands]
+    rank = [dict(zip(nums, range(len(nums)))) for nums in cands]
     masks = []
     for i in range(0, len(c.var), k):
         per_var: dict[int, int] = {}
-        for j, e, g in zip(c.var[i : i + k], c.ge[i : i + k], c.rank[i : i + k]):
-            r = g - start[j]
+        for j, e, b in zip(c.var[i : i + k], c.ge[i : i + k], c.num[i : i + k]):
+            r = rank[j][b]
             mask = full[j] ^ ((1 << r) - 1) if e else (1 << (r + 1)) - 1
             per_var[j] = per_var.get(j, 0) | mask
         if all(mask != full[j] for j, mask in per_var.items()):
@@ -223,8 +223,8 @@ def solve_complete(
     """
     check_budget(budget)
     c = f if isinstance(f, CompiledFormula) else compile_formula(f)
-    r = rank_candidates(c)
-    masks, dom = _clause_masks(r)
+    cands = _candidates(c)
+    masks, dom = _clause_masks(c, cands)
     occ: list[list[int]] = [[] for _ in dom]  # clause ids per variable
     for cid, clause in enumerate(masks):
         for j, _ in clause:
@@ -241,7 +241,8 @@ def solve_complete(
         if _propagate(dom, trail, masks, occ, work):
             active, branch = _unsatisfied(dom, masks, active)
             if branch is None:  # every clause holds: take the lowest candidates left
-                return _result(c, [-1] + [r.rep[r.start[j] + (d & -d).bit_length() - 1]
+                slot = {(j, b): i for i, (j, b) in enumerate(zip(c.var, c.num))}
+                return _result(c, [-1] + [slot.get((j, cands[j][(d & -d).bit_length() - 1]), -1)
                                           for j, d in enumerate(dom) if j])
             live = [(j, mask) for j, mask in masks[branch] if dom[j] & mask]
             frames.append([active, live, 0, len(trail)])
@@ -326,12 +327,11 @@ def _unsatisfied(dom, masks, active):
 
 @dataclass
 class ImplicationDigraph:
-    """The order-encoding digraph of a width-2 formula over every candidate,
-    labelled for reading; the SCC decider runs on the smaller digraph over
-    the non-dominated candidates.
+    """The order-encoding digraph that :func:`solve_2rsat_scc` runs on a
+    width-2 formula, over its non-dominated candidates, labelled for reading.
 
     ``nodes[id]`` is node id's (var, rel, rank) triple, rank local to the
-    variable's candidates: per gap, ``(var, LE, r)`` then
+    variable's kept candidates: per gap, ``(var, LE, r)`` then
     ``(var, GE, r + 1)``.  Node id's complement is node ``id ^ 1``; no node
     lacks one.  Edges are the clause contrapositives plus the entailment chains
     within each variable and relation.
@@ -342,11 +342,11 @@ class ImplicationDigraph:
 
 
 def _order_graph(c: Ranked) -> tuple[list[int], list[list[int]]]:
-    """The order-encoding digraph of width-2 ``c``: the node of every slot
-    (-1 for a literal that holds on every candidate, whose clause is then
-    vacuous) and every node's successors, the clause contrapositives plus
-    each variable's entailment chains.  A width other than 2 is a
-    WrongArity."""
+    """The order-encoding digraph of width-2 ``c`` over its kept candidates:
+    the node of every slot (-1 for a literal that holds on every kept
+    candidate, whose clause is then vacuous) and every node's successors,
+    the clause contrapositives plus each variable's entailment chains.  A
+    width other than 2 is a WrongArity."""
     if c.k != 2:
         raise WrongArity(f"the implication digraph requires k = 2, got k = {c.k}")
     start = c.start
@@ -422,17 +422,13 @@ def literal_components(c: Ranked) -> tuple[list[int], list[int], bool]:
 
 
 def build_implication_digraph(f: Formula, domains=None) -> ImplicationDigraph:
-    """The labelled order-encoding digraph of ``f`` over every candidate.
-    ``domains``, if given, must be ``candidate_domains(f)``; the view
-    derives them itself."""
-    c = rank_candidates(compile_formula(f))
-    _, succ = _order_graph(c)
-    nodes = [
-        key
-        for j in range(1, f.n + 1)
-        for r in range(c.start[j + 1] - c.start[j] - 1)
-        for key in ((j, Rel.LE, r), (j, Rel.GE, r + 1))
-    ]
+    """The labelled order-encoding digraph of ``f`` that
+    :func:`solve_2rsat_scc` runs, over the non-dominated candidates.
+    ``domains`` is accepted and not read."""
+    d = reduce_candidates(compile_formula(f))
+    _, succ = _order_graph(d)
+    nodes = [key for j in range(1, f.n + 1) for r in range(d.start[j + 1] - d.start[j] - 1)
+             for key in ((j, Rel.LE, r), (j, Rel.GE, r + 1))]
     return ImplicationDigraph(nodes, succ)
 
 

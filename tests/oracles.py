@@ -8,6 +8,7 @@ path with the deciders they audit.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import accumulate, compress
 from operator import not_
@@ -26,7 +27,7 @@ from rsat import (
     verify_bicycle,
 )
 from rsat.formula import vspec_grid
-from rsat.solver import rank_candidates
+from rsat.solver import Ranked
 
 
 def vspec_values(vspec) -> list[Fraction]:
@@ -228,6 +229,23 @@ def ring_formula(length: int, closed: bool = True):
         (Literal(i, Rel.GE, high), Literal(i % n + 1, Rel.LE, low)) for i in range(1, length + 1)
     )
     return Formula(2, n, clauses, CONTINUOUS)
+
+
+def rank_candidates(c):
+    """Compiled ``c`` over every candidate, the reference ranking: one sort
+    of the packed (variable, numerator) keys orders every candidate, and
+    variable j's take ranks ``start[j]`` to ``start[j + 1] - 1``; candidate
+    g is the bound of slot ``rep[g]``, or 0 when that is -1 (a variable
+    with no literal)."""
+    shift = c.bits
+    keys = [(j << shift) | b for j, b in zip(c.var, c.num)]
+    slot = dict(zip(keys, range(len(keys))))  # a slot of each key
+    present = set(c.var)
+    uniq = sorted(slot.keys() | {j << shift for j in range(1, c.n + 1) if j not in present})
+    index = dict(zip(uniq, range(len(uniq))))
+    start = [0, *(bisect_left(uniq, j << shift) for j in range(1, c.n + 2))]
+    return Ranked(c.k, c.n, c.var, c.ge, list(map(index.__getitem__, keys)), start,
+                  [slot.get(key, -1) for key in uniq])
 
 
 def two_stage_reduction(c):

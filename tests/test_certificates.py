@@ -33,8 +33,8 @@ from rsat import (
 )
 from rsat.certificates import DEFAULT_FIND_BUDGET, _chain_graph
 from rsat.formula import signs_disjoint
-from rsat.solver import compile_formula, literal_components, rank_candidates, reduce_candidates
-from oracles import exhaustive_bicycle, ring_formula
+from rsat.solver import compile_formula, literal_components, reduce_candidates
+from oracles import exhaustive_bicycle, rank_candidates, ring_formula
 
 
 def le(var, num, den=10):

@@ -204,6 +204,20 @@ def test_oversize_vspec_is_one_error_line(capsys, argv):
     assert "2^64" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("gen", "--k", "2", "--n", "18446744073709551617", "--m", "1"),
+    ("gen", "--k", "2", "--n", "18446744073709551617", "--m", "0"),
+    ("sweep", "--k", "2", "--v", "continuous", "--n", "18446744073709551617",
+     "--c", "0.000000000000000001", "--trials", "1"),
+])
+def test_n_above_2_to_the_64_is_one_error_line(capsys, argv):
+    # one 64-bit draw picks each variable; refused before the first draw
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: n must be <= 2^64") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_sweep_rejects_a_bad_n_before_the_first_trial(capsys, monkeypatch):
     decided = []
     monkeypatch.setattr("rsat.sweep.decide", lambda *args: decided.append(args))

@@ -7,9 +7,10 @@ and every public method or property of a top-level class, is read by the
 package, a script, the benchmark or the acceptance suite
 (``tests/test_acceptance.py``); a name only unit tests read lives in the
 tests.
-Two scans keep one path per job in the package: only ``sweep.decide``
-calls a decider outside ``solver.py``, and no module calls ``open`` twice
-with one mode.
+Three scans keep one path per job in the package: only ``sweep.decide``
+calls a decider outside ``solver.py``, only ``solver.reduce_candidates``
+builds a ``Ranked`` form, and no module calls ``open`` twice with one
+mode.
 
 A stdlib-only stand-in for a linter's unused-import, broad-except and
 dead-code rules.  The package's ``__init__.py`` is left out of the import
@@ -217,13 +218,13 @@ def call_name(node: ast.Call):
     return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
 
 
-def decider_calls(source: str) -> list[str]:
-    """Calls of a decider, each with the top-level definition it sits in."""
+def calls_of(source: str, names) -> list[str]:
+    """Calls of ``names``, each with the top-level definition it sits in."""
     found = []
     for top in ast.parse(source).body:
         owner = getattr(top, "name", "<module>")
         found += [(node.lineno, f"{call_name(node)} in {owner}") for node in ast.walk(top)
-                  if isinstance(node, ast.Call) and call_name(node) in DECIDER_NAMES]
+                  if isinstance(node, ast.Call) and call_name(node) in names]
     return [f"line {line}: {call}" for line, call in sorted(found)]
 
 
@@ -235,7 +236,7 @@ def test_scan_finds_decider_calls():
         "x = solve_complete(None) or solve_2rsat_scc(None)\n"
         "alias = solve_complete\n"
     )
-    assert decider_calls(source) == [
+    assert calls_of(source, DECIDER_NAMES) == [
         "line 3: solve_complete in decide", "line 6: solve_2rsat_scc in C",
         "line 7: solve_2rsat_scc in <module>", "line 7: solve_complete in <module>",
     ]
@@ -244,10 +245,31 @@ def test_scan_finds_decider_calls():
 @pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "solver.py"),
                          ids=lambda p: p.name)
 def test_only_sweep_decide_calls_a_decider(path):
-    calls = decider_calls(path.read_text(encoding="utf-8"))
+    calls = calls_of(path.read_text(encoding="utf-8"), DECIDER_NAMES)
     if path.name == "sweep.py":
         inside = [call for call in calls if call.endswith(" in decide")]
         assert len(inside) == 2  # the scan sees the one rule's two calls
+        calls = [call for call in calls if call not in inside]
+    assert calls == []
+
+
+def test_scan_finds_a_second_ranked_form():
+    source = (
+        "def reduce_candidates(c):\n    return Ranked(c.k)\n"
+        "def rank_all(c):\n    return solver.Ranked(c.k, c.n)\n"
+        "ALIAS = Ranked\n"
+    )
+    assert calls_of(source, {"Ranked"}) == [
+        "line 2: Ranked in reduce_candidates", "line 4: Ranked in rank_all",
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_reduce_candidates_builds_a_ranked_form(path):
+    calls = calls_of(path.read_text(encoding="utf-8"), {"Ranked"})
+    if path.name == "solver.py":
+        inside = [call for call in calls if call.endswith(" in reduce_candidates")]
+        assert len(inside) == 1  # the scan sees the one construction
         calls = [call for call in calls if call not in inside]
     assert calls == []
 

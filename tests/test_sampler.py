@@ -38,6 +38,13 @@ def test_invalid_config():
         GenConfig(k=2, n=5, m=-1)
 
 
+def test_n_above_2_to_the_64_is_refused_before_any_draw():
+    # one 64-bit below(n) draw picks each variable; nothing is sampled at such an n
+    with pytest.raises(InvalidConfig, match="^n must be <= 2\\^64, got 18446744073709551617;"):
+        GenConfig(k=2, n=(1 << 64) + 1, m=1)
+    assert GenConfig(k=2, n=1 << 64, m=1).n == 1 << 64
+
+
 @pytest.mark.parametrize("field", ["k", "n", "m", "seed"])
 @pytest.mark.parametrize("bad", [2.0, True], ids=["float", "bool"])
 def test_config_sizes_and_seed_must_be_ints(field, bad):

@@ -27,10 +27,10 @@ from rsat import (
 )
 from rsat.formula import signs_disjoint
 from rsat.sampler import draw_slots
-from rsat.solver import (_clause_masks, compile_formula, compile_slots, literal_components,
-                         rank_candidates, reduce_candidates)
+from rsat.solver import (_candidates, _clause_masks, _order_graph, _tarjan, compile_formula,
+                         compile_slots, literal_components, reduce_candidates)
 from oracles import (brute_force_count_tight, brute_force_solve, deep_pairs_formula,
-                     occurring_variables, two_stage_reduction)
+                     occurring_variables, rank_candidates, two_stage_reduction)
 
 
 def le(var, num, den=1):
@@ -55,6 +55,39 @@ def test_candidate_domains():
     assert doms[1] == [F(3, 10), F(1, 2)]
     assert doms[2] == [F(7, 10)]
     assert doms[3] == [F(0)]  # non-occurring variable
+
+
+def assert_candidates_match_reference(c, domains=None):
+    """The complete decider's candidates of compiled ``c`` against the
+    reference ranking: per variable as many as its span, each the
+    numerator at its representative slot (0 for none), and, given
+    ``candidate_domains``, each domain value the bound there."""
+    cands = _candidates(c)
+    full = rank_candidates(c)
+    assert len(cands) == c.n + 1 and cands[0] == []
+    for j in range(1, c.n + 1):
+        reps = full.rep[full.start[j] : full.start[j + 1]]
+        assert len(cands[j]) == full.start[j + 1] - full.start[j]
+        assert cands[j] == [c.num[s] if s >= 0 else 0 for s in reps]
+        if domains is not None:
+            assert domains[j] == [c.bounds[s] if s >= 0 else 0 for s in reps]
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("distinct", [False, True], ids=["repeats", "distinct"])
+@pytest.mark.parametrize("token", ["continuous", "finite:2", "finite:3", "finite:5", "dyadic:2"])
+def test_candidates_match_the_reference_ranking(token, distinct, k):
+    unused = 0
+    for seed in range(30):
+        n = (3, 5, 9, 20, 60)[seed % 5]
+        m = 1 + (seed * 11) % (2 * n) if seed % 3 else 1 + seed % 3  # few clauses: unused variables
+        cfg = GenConfig(k=k, n=n, m=m, vspec=vspec_from_token(token), seed=93_000 + seed,
+                        distinct_vars_per_clause=distinct)
+        f = sample_formula(cfg)
+        assert_candidates_match_reference(compile_formula(f), candidate_domains(f))
+        assert_candidates_match_reference(compile_slots(k, n, *draw_slots(cfg)))  # numerators only
+        unused += f.n - len(occurring_variables(f))
+    assert unused > 20
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +247,6 @@ def test_scc_disjoint_pair_in_one_component_can_still_be_sat():
     f = Formula(2, 1, ((ge(1, 1, 2), ge(1, 1)), (le(1, 1, 2), le(1, 0))), Finite(3))
     graph = build_implication_digraph(f)
     comp_of = {}
-    from rsat.solver import _tarjan
-
     comp = _tarjan(graph.succ)
     for nid, key in enumerate(graph.nodes):
         comp_of[key] = comp[nid]
@@ -243,22 +274,45 @@ def test_digraph_edge_semantics():
     f = sample_formula(
         GenConfig(k=2, n=6, m=14, vspec=Finite(4), seed=81, distinct_vars_per_clause=True)
     )
-    doms = candidate_domains(f)
-    graph = build_implication_digraph(f, doms)
+    c = compile_formula(f)
+    _, start, rep = two_stage_reduction(c)  # label ranks count the kept candidates
+    kept = {j: [c.bounds[s] if s >= 0 else F(0) for s in rep[start[j] : start[j + 1]]]
+            for j in range(1, f.n + 1)}
+    graph = build_implication_digraph(f)
+    assert graph.nodes
 
     def sat_set(key):
         var, rel, rank = key
-        lit = Literal(var, rel, doms[var][rank])
-        return {x for x in doms[var] if eval_literal(lit, x)}
+        lit = Literal(var, rel, kept[var][rank])
+        return {x for x in kept[var] if eval_literal(lit, x)}
 
+    entailments = 0
     for nid, key in enumerate(graph.nodes):
         ckey = graph.nodes[nid ^ 1]
         assert ckey[0] == key[0]
-        assert sat_set(ckey) == set(doms[key[0]]) - sat_set(key)
+        assert sat_set(ckey) == set(kept[key[0]]) - sat_set(key)
         for succ in graph.succ[nid]:
             skey = graph.nodes[succ]
             if skey[0] == key[0]:  # entailment edge: satisfying sets nest
                 assert sat_set(key) <= sat_set(skey)
+                entailments += 1
+    assert entailments > 0
+
+
+@pytest.mark.parametrize("distinct", [False, True], ids=["repeats", "distinct"])
+@pytest.mark.parametrize("token", ["continuous", "finite:3", "finite:5", "dyadic:2"])
+def test_labelled_digraph_is_the_one_the_scc_decider_runs(token, distinct):
+    for seed in range(30):
+        n = 3 + seed % 12
+        f = sample_formula(GenConfig(k=2, n=n, m=1 + (seed * 7) % (3 * n),
+                                     vspec=vspec_from_token(token), seed=92_000 + seed,
+                                     distinct_vars_per_clause=distinct))
+        graph = build_implication_digraph(f)
+        _, succ = _order_graph(reduce_candidates(compile_formula(f)))
+        assert (len(graph.nodes), graph.succ) == (len(succ), succ)
+        comp = _tarjan(graph.succ)
+        refuted = any(comp[a] == comp[a ^ 1] for a in range(len(comp)))
+        assert refuted == (not solve_2rsat_scc(f).sat)
 
 
 # ---------------------------------------------------------------------------
@@ -378,17 +432,17 @@ def count_tight_satisfying(f: Formula) -> int:
     contribute two choices.  A variable with no occurrence has no slot to
     pick from (its one candidate has weight 0), so the count is 0.
     """
-    c = rank_candidates(compile_formula(f))
-    mult = Counter(c.rank)  # slots per candidate
-    spans = [range(c.start[j], c.start[j + 1]) for j in range(1, f.n + 1)]
-    masks, _ = _clause_masks(c)
+    c = compile_formula(f)
+    cands = _candidates(c)
+    mult = Counter(zip(c.var, c.num))  # slots per candidate
+    masks, _ = _clause_masks(c, cands)
+    variables = range(1, f.n + 1)
     count = 0
-    for combo in product(*spans):
-        bits = {j: 1 << (g - span.start) for j, g, span in zip(range(1, f.n + 1), combo, spans)}
-        if all(any(bits[j] & mask for j, mask in clause) for clause in masks):
+    for combo in product(*(range(len(cands[j])) for j in variables)):  # bit per variable
+        if all(any((1 << combo[j - 1]) & mask for j, mask in clause) for clause in masks):
             weight = 1
-            for g in combo:
-                weight *= mult[g]
+            for j, r in zip(variables, combo):
+                weight *= mult[j, cands[j][r]]
             count += weight
     return count
 
