@@ -21,11 +21,9 @@ from .certificates import (
 from .errors import (
     DomainError,
     DuplicateThresholds,
-    IndexOutOfRange,
     InvalidConfig,
     MissingAssignment,
     NoCrossing,
-    OddLength,
     ParseError,
     ResourceLimit,
     RsatError,

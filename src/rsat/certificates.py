@@ -18,6 +18,13 @@ are derived from it:
   satisfiable nor violable, so a verified snake certifies
   unsatisfiability outright.
 
+Both checkers read one link rule: each trail sits on the next lead's
+variable and is sign-disjoint from it.  A check returns a verdict: for
+any certificate that can be built, it answers True or False against a
+width-2 formula, so a clause index outside the formula or a snake whose
+ell is odd or below 6 certifies nothing and gets False; only a formula of
+another width raises (WrongArity).
+
 Both finders run the SCC decider's stages, compile, then
 :func:`rsat.solver.reduce_candidates` and
 :func:`rsat.solver.literal_components`, and walk one *chain graph* on the
@@ -44,7 +51,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from .analytics import snake_length
-from .errors import IndexOutOfRange, OddLength, WrongArity
+from .errors import WrongArity
 from .formula import Formula, Literal, signs_disjoint
 from .solver import Ranked, check_budget, compile_formula, literal_components, reduce_candidates
 
@@ -110,31 +117,31 @@ class Bicycle(_Chain):
 
 def _clauses_match(f: Formula, cert: Bicycle | Snake, kind: str) -> bool:
     """Whether clause ``clause_indices[i]`` of width-2 ``f`` holds exactly
-    ``pairs[i]``, for every i; raises on another width or on an index that
-    names no clause."""
+    ``pairs[i]``, for every i; an index outside 0..m-1 names no clause, so
+    it fails.  Raises WrongArity on another width."""
     if f.k != 2:
         raise WrongArity(f"{kind}s are defined for k = 2, got k = {f.k}")
-    for ci in cert.clause_indices:
-        if not (0 <= ci < f.m):
-            raise IndexOutOfRange(f"clause index {ci} outside 0..{f.m - 1}")
-    return all(Counter(f.clauses[ci]) == Counter(pair)
+    return all(0 <= ci < f.m and Counter(f.clauses[ci]) == Counter(pair)
                for ci, pair in zip(cert.clause_indices, cert.pairs))
+
+
+def _linked(pairs) -> bool:
+    """Whether each pair's trail sits on the next pair's lead variable and is
+    sign-disjoint from that lead: the link rule of both certificates."""
+    return all(trail.var == lead.var and signs_disjoint(trail, lead)
+               for (_, trail), (lead, _) in zip(pairs, pairs[1:]))
 
 
 def verify_bicycle(f: Formula, cert: Bicycle) -> bool:
     """Check the five bicycle conditions literally against ``f``."""
-    members = _clauses_match(f, cert, "bicycle")  # bc4
     ell, pairs = cert.ell, cert.pairs
-    if not (members and 2 <= cert.i0 <= ell and 1 <= cert.i1 <= ell - 1):
+    if not (_clauses_match(f, cert, "bicycle")  # bc4
+            and 2 <= cert.i0 <= ell and 1 <= cert.i1 <= ell - 1):
         return False
     t_vars = [trail.var for _, trail in pairs[:-1]]  # t_1..t_ell
-    if len(set(t_vars)) != ell:  # bc1
-        return False
-    for (_, t), (f_, _) in zip(pairs, pairs[1:]):  # bc2 + bc5: t_i against f_i
-        if t.var != f_.var or not signs_disjoint(t, f_):
-            return False
-    # bc3: f_0 folds onto t_{i0}, t_{ell+1} onto t_{i1}
-    return pairs[0][0].var == t_vars[cert.i0 - 1] and pairs[-1][1].var == t_vars[cert.i1 - 1]
+    # bc1, then bc2 + bc5, then bc3: f_0 folds onto t_{i0}, t_{ell+1} onto t_{i1}
+    return len(set(t_vars)) == ell and _linked(pairs) and \
+        pairs[0][0].var == t_vars[cert.i0 - 1] and pairs[-1][1].var == t_vars[cert.i1 - 1]
 
 
 def _chain_graph(d: Ranked, nodes: list[int], comp: list[int]):
@@ -250,27 +257,17 @@ class Snake(_Chain):
 
 
 def verify_snake(f: Formula, cert: Snake) -> bool:
-    """Check sk1-sk3, variable consistency and clause membership."""
-    members = _clauses_match(f, cert, "snake")
+    """Check clause membership, an even ell >= 6, distinct b_1..b_ell, the
+    links sk1 and sk2 (sk2 links the last trail to lead 0), lead 0 on the
+    middle variable b_{ell/2}, and sk3."""
     ell, pairs = cert.ell, cert.pairs
-    if ell < 6 or ell % 2 != 0:
-        raise OddLength(f"snake length must be an even integer >= 6, got {ell}")
+    if not (_clauses_match(f, cert, "snake") and ell >= 6 and ell % 2 == 0):
+        return False
     half = ell // 2
-    b = cert.b
-    if not members or len(set(b)) != ell:
-        return False
-    b = (b[half - 1],) + b + (b[half - 1],)  # b_0..b_{ell+1}
-    for i, (lead, trail) in enumerate(pairs):
-        if lead.var != b[i] or trail.var != b[i + 1]:
-            return False
-    for i in range(1, ell + 1):  # sk1: trail of clause i-1 vs lead of clause i
-        if not signs_disjoint(pairs[i - 1][1], pairs[i][0]):
-            return False
-    if not signs_disjoint(pairs[ell][1], pairs[0][0]):  # sk2
-        return False
-    if not signs_disjoint(pairs[half - 1][1], pairs[ell][1]):  # sk3
-        return False
-    return signs_disjoint(pairs[half][0], pairs[0][0])
+    return len(set(cert.b)) == ell and _linked(pairs + pairs[:1]) and \
+        pairs[0][0].var == pairs[half][0].var and \
+        signs_disjoint(pairs[half - 1][1], pairs[ell][1]) and \
+        signs_disjoint(pairs[half][0], pairs[0][0])  # sk3
 
 
 def find_snake(f: Formula, budget: int = DEFAULT_FIND_BUDGET):

@@ -37,14 +37,6 @@ class NoCrossing(RsatError):
     """A sweep slice never straddles the crossing target."""
 
 
-class IndexOutOfRange(RsatError):
-    """A certificate references a clause index outside the formula."""
-
-
-class OddLength(RsatError):
-    """Snake length must be an even integer >= 6."""
-
-
 class ParseError(RsatError):
     """A formula or certificate file is malformed.
 

@@ -114,14 +114,6 @@ class Stream:
         # copy.copy, copy.deepcopy and pickle all come here
         raise TypeError("a Stream cannot be copied; build Stream(seed) again")
 
-    def bits(self, k: int) -> int:
-        """Uniform integer in [0, 2^k) for 0 <= k <= 64."""
-        if not 0 <= k <= 64:
-            raise ValueError("bits() requires 0 <= k <= 64")
-        if k == 0:
-            return 0
-        return self.next_u64() >> (64 - k)
-
     def below(self, n: int) -> int:
         """Uniform integer in [0, n) by masked rejection; exact for 1 <= n <= 2^64."""
         k = _below_bits(n)
@@ -155,4 +147,4 @@ class Stream:
 
     def dyadic53(self) -> Fraction:
         """Uniform dyadic rational r/2^53 with r in [0, 2^53)."""
-        return Fraction(self.bits(53), 1 << 53)
+        return Fraction(self.next_u64() >> 11, 1 << 53)

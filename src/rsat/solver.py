@@ -53,6 +53,7 @@ every value a candidate of its variable.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -92,7 +93,9 @@ class CompiledFormula:
     """Slot i, in clause i // k, is ``x_var[i] <= b`` (``>=`` when ``ge[i]``);
     ``num[i]`` < ``2**bits`` is b times a scale fixed per variable.
     ``bounds`` lists each b; it is None when compiled from integer draws,
-    and then a SAT result carries no witness."""
+    and then a SAT result carries no witness.  The deciders and finders
+    build lists of up to n + 2 entries, so an n above ``sys.maxsize - 2``,
+    where no list reaches, is an InvalidConfig."""
 
     k: int
     n: int
@@ -101,6 +104,10 @@ class CompiledFormula:
     num: list[int]
     bits: int
     bounds: Optional[list[Fraction]]
+
+    def __post_init__(self):
+        if self.n > sys.maxsize - 2:
+            raise InvalidConfig(f"n must be <= {sys.maxsize - 2} to decide, got {self.n}")
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,8 @@ import itertools
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rsat
 from rsat import (
@@ -13,10 +15,8 @@ from rsat import (
     Finite,
     Formula,
     GenConfig,
-    IndexOutOfRange,
     InvalidConfig,
     Literal,
-    OddLength,
     Rel,
     Snake,
     WrongArity,
@@ -87,8 +87,7 @@ def test_verify_bicycle_bc5_failure():
 
 def test_verify_bicycle_errors_and_ranges():
     f, cert = handmade_bicycle()
-    with pytest.raises(IndexOutOfRange):
-        verify_bicycle(f, Bicycle(cert.pairs, cert.i0, cert.i1, (0, 1, 99)))
+    assert not verify_bicycle(f, Bicycle(cert.pairs, cert.i0, cert.i1, (0, 1, 99)))
     assert not verify_bicycle(f, Bicycle(cert.pairs, 1, 1, cert.clause_indices))
     with pytest.raises(WrongArity):
         verify_bicycle(sample_formula(GenConfig(k=3, n=3, m=2, seed=0)), cert)
@@ -234,12 +233,9 @@ def test_verify_snake_middle_identity_failure():
 
 def test_verify_snake_errors():
     f, cert = planted_snake(6)
-    with pytest.raises(OddLength):
-        verify_snake(f, Snake(cert.pairs[:6], cert.clause_indices[:6]))
-    with pytest.raises(OddLength):
-        verify_snake(f, Snake(cert.pairs[:5], cert.clause_indices[:5]))
-    with pytest.raises(IndexOutOfRange):
-        verify_snake(f, Snake(cert.pairs, (0, 1, 2, 3, 4, 5, 42)))
+    assert not verify_snake(f, Snake(cert.pairs[:6], cert.clause_indices[:6]))
+    assert not verify_snake(f, Snake(cert.pairs[:5], cert.clause_indices[:5]))
+    assert not verify_snake(f, Snake(cert.pairs, (0, 1, 2, 3, 4, 5, 42)))
     with pytest.raises(WrongArity):
         verify_snake(sample_formula(GenConfig(k=3, n=6, m=3, seed=0)), cert)
 
@@ -649,21 +645,57 @@ def test_verify_bicycle_rejects_one_broken_condition(pairs, i0, i1):
 
 
 @pytest.mark.parametrize(
-    "slot, literal",
+    "changes",
     [
-        ((0, 1), le(7, 3)),  # variables: clause 0's trail must sit on b_1 = x1
-        ((4, 0), ge(4, 2)),  # sk1: (x4 <= 0.3) then (x4 >= 0.2) overlap
-        ((0, 0), le(3, 7)),  # sk2: the closing trail (x3 >= 0.7) meets x3 <= 0.7
-        ((2, 1), le(3, 7)),  # sk3: the middle trail meets the closing trail at 0.7
+        {(0, 1): le(7, 3)},  # variables: clause 0's trail must sit on b_1 = x1
+        {(4, 0): ge(4, 2)},  # sk1: (x4 <= 0.3) then (x4 >= 0.2) overlap
+        {(0, 0): le(3, 7)},  # sk2: the closing trail (x3 >= 0.7) meets x3 <= 0.7
+        {(2, 1): le(3, 7)},  # sk3: the middle trail meets the closing trail at 0.7
+        # middle: lead 0 and the closing trail move together onto x7, so
+        # they stay linked, but lead 0 leaves b_3 = x3
+        {(0, 0): le(7, 2), (6, 1): ge(7, 7)},
+        {(6, 1): ge(7, 7)},  # closing: the last trail leaves b_3, lead 0's variable
     ],
-    ids=["variables", "sk1", "sk2", "sk3"],
+    ids=["variables", "sk1", "sk2", "sk3", "middle", "closing"],
 )
-def test_verify_snake_rejects_one_broken_condition(slot, literal):
+def test_verify_snake_rejects_one_broken_condition(changes):
     _, cert = planted_snake(6)
     pairs = [list(pair) for pair in cert.pairs]
-    pairs[slot[0]][slot[1]] = literal
+    for (i, side), literal in changes.items():
+        pairs[i][side] = literal
     pairs = tuple(map(tuple, pairs))
     assert not verify_snake(own_formula(pairs), Snake(pairs, cert.clause_indices))
+
+
+@given(st.sampled_from(["continuous", "finite:3", "finite:5", "dyadic:2"]),
+       st.integers(min_value=2, max_value=6), st.integers(min_value=1, max_value=14),
+       st.booleans(), st.integers(min_value=0, max_value=2**32),
+       st.sampled_from([Bicycle, Snake]), st.data())
+@settings(max_examples=200, deadline=None)
+def test_verify_returns_a_verdict_on_any_chain(token, n, m, distinct, seed, kind, data):
+    # chains of the formula's literals, mostly its clauses in either
+    # orientation, with any clause index, any ends and any ell the kind
+    # can be built with: a check answers True or False and never raises
+    f = sample_formula(GenConfig(k=2, n=n, m=m, vspec=vspec_from_token(token), seed=seed,
+                                 distinct_vars_per_clause=distinct))
+    literals = [lit for clause in f.clauses for lit in clause]
+    ell = data.draw(st.integers(min_value=2 if kind is Bicycle else 0, max_value=9), label="ell")
+    pairs, indices = [], []
+    for _ in range(ell + 1):
+        i = data.draw(st.integers(min_value=0, max_value=m - 1), label="clause")
+        pairs.append(data.draw(st.one_of(
+            st.just(f.clauses[i]), st.just(f.clauses[i][::-1]),
+            st.tuples(st.sampled_from(literals), st.sampled_from(literals))), label="pair"))
+        indices.append(data.draw(st.one_of(st.just(i), st.integers()), label="index"))
+    if kind is Bicycle:
+        ends = [data.draw(st.one_of(st.integers(min_value=1, max_value=ell), st.integers()),
+                          label=end) for end in ("i0", "i1")]
+        verdict = verify_bicycle(f, Bicycle(tuple(pairs), *ends, tuple(indices)))
+    else:
+        verdict = verify_snake(f, Snake(tuple(pairs), tuple(indices)))
+        if verdict:  # a verified snake certifies unsatisfiability
+            assert not solve_2rsat_scc(f).sat
+    assert verdict is True or verdict is False
 
 
 def test_certificates_need_one_clause_index_per_pair():

@@ -218,6 +218,22 @@ def test_n_above_2_to_the_64_is_one_error_line(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--k", "2", "--v", "continuous", "--n", "18446744073709551616",
+     "--c", "0.000000000000000001", "--trials", "1"),
+    ("solve",),
+    ("cert", "find", "snake"),
+    ("cert", "find", "bicycle"),
+])
+def test_n_beyond_any_list_index_is_one_error_line(capsys, tmp_path, argv):
+    # 2^64 variables can be drawn, but no list of 2^64 entries can be indexed
+    path = tmp_path / "f.rsat"
+    path.write_text("p rsat 2 18446744073709551616 1 continuous\n1:le:1/2 2:ge:1/2\n")
+    code, out, err = run(capsys, *argv, *([] if argv[0] == "sweep" else [str(path)]))
+    assert (code, out) == (1, "")
+    assert err == f"error: n must be <= {sys.maxsize - 2} to decide, got 18446744073709551616\n"
+
+
 def test_sweep_rejects_a_bad_n_before_the_first_trial(capsys, monkeypatch):
     decided = []
     monkeypatch.setattr("rsat.sweep.decide", lambda *args: decided.append(args))
@@ -438,6 +454,41 @@ def test_cert_verify_missing_cert_is_parse_error(capsys, tmp_path):
     code, out, err = run(capsys, "cert", "verify", str(path), "--cert", str(tmp_path / "none"))
     assert code == 2 and out == ""
     assert err.startswith("parse error: cannot read")
+
+
+SNAKE_FORMULA = ("--k", "2", "--n", "24", "--m", "96", "--seed", "8")  # a snake of ell 10
+BICYCLE_FORMULA = ("--k", "2", "--n", "8", "--m", "16", "--seed", "60001", "--distinct")
+
+
+def _with_index(index):
+    """Set the clause index of the first chain line."""
+    return lambda lines: [lines[0], f"{index} {lines[1].split(' ', 1)[1]}", *lines[2:]]
+
+
+@pytest.mark.parametrize("formula, kind, edit, against, code, out, err", [
+    (SNAKE_FORMULA, "snake", list, None, 0, "VALID\n", ""),
+    (SNAKE_FORMULA, "snake", lambda lines: ["cert snake 4", *lines[1:6]], None, 0, "INVALID\n", ""),
+    (SNAKE_FORMULA, "snake", lambda lines: ["cert snake 7", *lines[1:9]], None, 0, "INVALID\n", ""),
+    (BICYCLE_FORMULA, "bicycle", list, None, 0, "VALID\n", ""),
+    (BICYCLE_FORMULA, "bicycle", _with_index(99), None, 0, "INVALID\n", ""),
+    (BICYCLE_FORMULA, "bicycle", _with_index(-1), None, 0, "INVALID\n", ""),
+    (SNAKE_FORMULA, "snake", lambda lines: ["cert snake -3", *lines[1:]], None, 2, "",
+     "parse error: line 1: snake needs ell >= 0, got -3\n"),
+    (SNAKE_FORMULA, "snake", list, ("--k", "3", "--n", "24", "--m", "96", "--seed", "8"), 1, "",
+     "error: snakes are defined for k = 2, got k = 3\n"),
+], ids=["snake", "snake-ell-4", "snake-ell-7", "bicycle", "bicycle-index-99",
+        "bicycle-index-minus-1", "snake-ell-minus-3", "width-3"])
+def test_cert_verify_answers_a_verdict(capsys, tmp_path, formula, kind, edit, against, code,
+                                       out, err):
+    # a chain that certifies nothing for the formula is INVALID, exit 0;
+    # only an unreadable certificate (2) or a width other than 2 (1) is not
+    path, cert = tmp_path / "f.rsat", tmp_path / "c.cert"
+    path.write_text(run(capsys, "gen", *formula)[1])
+    found = run(capsys, "cert", "find", kind, str(path))[1].splitlines()
+    cert.write_text("\n".join(edit(found)) + "\n")
+    if against is not None:
+        path.write_text(run(capsys, "gen", *against)[1])
+    assert run(capsys, "cert", "verify", str(path), "--cert", str(cert)) == (code, out, err)
 
 
 NOT_UTF8 = b"p rsat 2 1 1 continuous\n1:le:\xff/2 1:ge:1/2\n"

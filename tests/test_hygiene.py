@@ -10,7 +10,8 @@ tests.
 Three scans keep one path per job in the package: only ``sweep.decide``
 calls a decider outside ``solver.py``, only ``solver.reduce_candidates``
 builds a ``Ranked`` form, and no module calls ``open`` twice with one
-mode.
+mode.  A fourth keeps the certificate checks total: they raise nothing
+but ``WrongArity``, and both read the one link rule ``_linked``.
 
 A stdlib-only stand-in for a linter's unused-import, broad-except and
 dead-code rules.  The package's ``__init__.py`` is left out of the import
@@ -272,6 +273,53 @@ def test_only_reduce_candidates_builds_a_ranked_form(path):
         assert len(inside) == 1  # the scan sees the one construction
         calls = [call for call in calls if call not in inside]
     assert calls == []
+
+
+def raises_in(source: str, names) -> list[str]:
+    """The errors that the top-level definitions ``names`` raise, each with
+    the definition it sits in; a bare ``raise`` shows as ``?``."""
+    found = []
+    for top in ast.parse(source).body:
+        if getattr(top, "name", None) in names:
+            found += [(node.lineno, f"{error_name(node.exc)} in {top.name}")
+                      for node in ast.walk(top) if isinstance(node, ast.Raise)]
+    return [f"line {line}: {error}" for line, error in sorted(found)]
+
+
+def error_name(exc) -> str:
+    """The error a ``raise`` names, called or bare; ``?`` when it re-raises."""
+    if exc is None:
+        return "?"
+    return (call_name(exc) if isinstance(exc, ast.Call) else None) or ast.unparse(exc)
+
+
+VERDICT_RULE = {"verify_bicycle", "verify_snake", "_linked", "_clauses_match"}
+
+
+def test_scan_finds_a_raise_in_a_check():
+    source = (
+        "def _clauses_match(f, cert):\n    if f.k != 2:\n        raise WrongArity('k')\n"
+        "def verify_snake(f, cert):\n    if cert.ell < 6:\n        raise errors.OddLength()\n"
+        "    try:\n        pass\n    except KeyError:\n        raise\n"
+        "def _linked(pairs):\n    raise ValueError\n"
+        "def find_snake(f):\n    raise InvalidConfig('budget')\n"
+    )
+    assert raises_in(source, VERDICT_RULE) == [
+        "line 3: WrongArity in _clauses_match", "line 6: OddLength in verify_snake",
+        "line 10: ? in verify_snake", "line 12: ValueError in _linked",
+    ]
+
+
+def test_a_certificate_check_returns_a_verdict():
+    # for any chain that can be built the checks answer True or False; only
+    # a formula of another width is an error, and both read the one link rule
+    source = (PACKAGE / "certificates.py").read_text(encoding="utf-8")
+    defined = {name for name, _ in top_level_names(ast.parse(source))}
+    assert VERDICT_RULE <= defined
+    raised = raises_in(source, VERDICT_RULE)
+    assert len(raised) == 1 and raised[0].endswith(": WrongArity in _clauses_match")
+    linked = [call.split(": ", 1)[1] for call in calls_of(source, {"_linked"})]
+    assert linked == ["_linked in verify_bicycle", "_linked in verify_snake"]
 
 
 def repeated_open_modes(source: str) -> list[str]:

@@ -62,9 +62,9 @@ def test_helpers_interleaved_consume_the_one_step_draws():
         (s.next_u64, ref.next_u64),
         (lambda: s.below(7), lambda: ref.below(7)),
         (draw, lambda: ref.below(1000)),
-        (lambda: s.bits(53), lambda: ref.bits(53)),
+        (s.dyadic53, lambda: Fraction(ref.bits(53), 2**53)),
         (lambda: s.below(1 << 64), lambda: ref.below(1 << 64)),
-        (lambda: s.bits(0), lambda: ref.bits(0)),
+        (lambda: s.below(1), lambda: ref.below(1)),
         (lambda: s.below(3), lambda: ref.below(3)),
     ]
     for i in range(1100):
@@ -91,22 +91,6 @@ def test_stream_seed_varies_with_index():
     seeds = {stream_seed(7, i) for i in range(1000)}
     assert len(seeds) == 1000
     assert stream_seed(7, 3) != stream_seed(8, 3)
-
-
-def test_bits_range():
-    s = Stream(1)
-    for k in (1, 8, 53, 64):
-        for _ in range(200):
-            assert 0 <= s.bits(k) < 2**k
-    assert s.bits(0) == 0
-
-
-@pytest.mark.parametrize("k", [-1, 65])
-def test_bits_rejects_k_outside_0_to_64_before_drawing(k):
-    s, fresh = Stream(3), Stream(3)
-    with pytest.raises(ValueError, match=r"^bits\(\) requires 0 <= k <= 64$"):
-        s.bits(k)
-    assert s.next_u64() == fresh.next_u64()
 
 
 def test_below_range_and_rough_uniformity():

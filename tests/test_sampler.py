@@ -362,7 +362,7 @@ def test_min_safe_lambda_duplicate_sides():
 def test_min_safe_lambda_order_preservation():
     for seed in range(200):
         stream = Stream(seed)
-        sides = sorted({F(stream.bits(8), 256) for _ in range(6)} - {F(1)})
+        sides = sorted({F(stream.next_u64() >> 56, 256) for _ in range(6)} - {F(1)})
         if len(sides) < 2:
             continue
         f = _formula_from_sides([(Rel.LE, s) for s in sides])

@@ -1,4 +1,5 @@
 import hashlib
+import sys
 from collections import Counter
 from fractions import Fraction as F
 from itertools import product
@@ -11,6 +12,7 @@ from rsat import (
     Finite,
     Formula,
     GenConfig,
+    InvalidConfig,
     Literal,
     Rel,
     ResourceLimit,
@@ -524,3 +526,15 @@ def test_compile_slots_rejects_what_literal_and_formula_reject(var, ge, num):
     assert rank_candidates(compile_slots(2, 2, 4, [1, 2], [1, 0], [4, 0])).rank == [0, 1]
     with pytest.raises(ValueError):
         compile_slots(2, 2, 4, var, ge, num)
+
+
+@pytest.mark.parametrize("n", [sys.maxsize - 1, sys.maxsize, 2**64])
+def test_compiling_refuses_an_n_no_list_can_index(n):
+    # every decider and finder builds lists of up to n + 2 entries, so n is
+    # checked where each compiles; nothing here reaches a decider
+    assert compile_slots(2, sys.maxsize - 2, 4, [1, 2], [1, 0], [3, 1]).n == sys.maxsize - 2
+    with pytest.raises(InvalidConfig, match=rf"^n must be <= {sys.maxsize - 2} to decide, got {n}$"):
+        compile_slots(2, n, 4, [1, 2], [1, 0], [3, 1])
+    f = Formula(2, n, ((Literal(1, Rel.LE, F(1, 2)), Literal(2, Rel.GE, F(1, 2))),), CONTINUOUS)
+    with pytest.raises(InvalidConfig):
+        compile_formula(f)
