@@ -311,6 +311,9 @@ def main(argv=None) -> int:
     except ResourceLimit as exc:
         sys.stderr.write(f"resource limit: {exc}\n")
         return EXIT_RESOURCE
+    except MemoryError:  # a feasible n whose per-variable lists do not fit
+        sys.stderr.write("resource limit: out of memory\n")
+        return EXIT_RESOURCE
     except RsatError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

@@ -18,11 +18,12 @@ cut out by its satisfied literals, and those endpoints are literal bounds.
   r-th lowest numerator (:func:`_candidates`).  The search is iterative: an
   explicit stack of open nodes, so its depth does not depend on the
   interpreter's recursion limit, and a trail of (variable, old mask)
-  entries undone on backtrack.  Occurrence lists send propagation only to
-  the clauses of variables narrowed since the last fixpoint.  It branches
-  on the first unsatisfied clause with the fewest live literals and takes
-  a leaf's lowest candidates, so it builds the same tree, node for node,
-  as the copy-per-branch recursion it replaced.
+  entries undone on backtrack.  Each clause keeps a live count (its live
+  literals, or *held* once one holds on its variable's whole domain),
+  whose changes go on the same trail; propagation recounts only clauses
+  whose literal on a narrowed variable turned false or whole.  It branches on the first clause with the fewest live literals
+  and takes a leaf's lowest candidates, so it builds the same tree, node
+  for node, as the recursion and the per-node rescan it replaced.
 
 * :func:`solve_2rsat_scc` -- for k = 2, the 2-SAT algorithm of Aspvall,
   Plass and Tarjan (1979), on the variables' *non-dominated* candidates.
@@ -232,100 +233,107 @@ def solve_complete(
     c = f if isinstance(f, CompiledFormula) else compile_formula(f)
     cands = _candidates(c)
     masks, dom = _clause_masks(c, cands)
-    occ: list[list[int]] = [[] for _ in dom]  # clause ids per variable
+    occ = [[] for _ in dom]  # per variable: (clause id, mask)
     for cid, clause in enumerate(masks):
-        for j, _ in clause:
-            occ[j].append(cid)
-    trail: list[tuple[int, int]] = []  # (var, mask before a narrowing)
-    frames = []  # per open node: [unsatisfied clauses, branch literals, next branch, trail mark]
-    active = list(range(len(masks)))
-    work = [[cid for cid, clause in enumerate(masks) if len(clause) == 1]]
+        for j, mask in clause:
+            occ[j].append((cid, mask))
+    held = c.k + 1  # above any live count: a clause has at most k literals
+    live = [len(clause) for clause in masks]  # per clause: live literals, or held
+    work = []  # variables narrowed since the last fixpoint
+    for clause in masks:  # a clause on one variable narrows it at the root
+        if len(clause) == 1:
+            (j, mask), = clause
+            dom[j] &= mask  # may empty it; propagation then finds the clause false
+            work.append(j)
+    trail: list[tuple[int, int]] = []  # (var, old mask) or (~clause id, old live entry)
+    frames = []  # per open node: [branch literals, next branch, trail mark]
     nodes = 0
     while True:
         nodes += 1
         if nodes > budget:
             raise ResourceLimit(f"search budget of {budget} nodes exhausted")
-        if _propagate(dom, trail, masks, occ, work):
-            active, branch = _unsatisfied(dom, masks, active)
+        if _propagate(dom, live, held, trail, masks, occ, work):
+            branch = _branch(live, held)
             if branch is None:  # every clause holds: take the lowest candidates left
                 slot = {(j, b): i for i, (j, b) in enumerate(zip(c.var, c.num))}
                 return _result(c, [-1] + [slot.get((j, cands[j][(d & -d).bit_length() - 1]), -1)
                                           for j, d in enumerate(dom) if j])
-            live = [(j, mask) for j, mask in masks[branch] if dom[j] & mask]
-            frames.append([active, live, 0, len(trail)])
+            lits = [(j, mask) for j, mask in masks[branch] if dom[j] & mask]
+            frames.append([lits, 0, len(trail)])
         while frames:  # undo to the deepest node with a branch left, and take it
             frame = frames[-1]
-            active, live, i, mark = frame
+            lits, i, mark = frame
             while len(trail) > mark:
                 j, d = trail.pop()
-                dom[j] = d
-            if i == len(live):
+                if j < 0:
+                    live[~j] = d
+                else:
+                    dom[j] = d
+            if i == len(lits):
                 frames.pop()
                 continue
-            frame[2] = i + 1
+            frame[1] = i + 1
             # branch i makes the first i live literals false and the i-th
             # true, a complete partition that reaches conflicts far sooner
             # than blind domain splitting; no domain empties, because no
             # literal of an unsatisfied clause holds on its whole domain
-            for j, mask in live[:i]:
+            for j, mask in lits[:i]:
                 trail.append((j, dom[j]))
                 dom[j] &= ~mask
-            j, mask = live[i]
+            j, mask = lits[i]
             trail.append((j, dom[j]))
             dom[j] &= mask
-            work = [occ[j] for j, _ in live[: i + 1]]
+            work = [j for j, _ in lits[: i + 1]]
             break
         else:
             return _result(c, None)
 
 
-def _propagate(dom, trail, masks, occ, work) -> bool:
-    """Unit propagation to fixpoint from the clause-id lists on ``work``.
+def _propagate(dom, live, held, trail, masks, occ, work) -> bool:
+    """Unit propagation to fixpoint from the narrowed variables on ``work``.
 
-    A clause left with one live literal narrows that literal's variable,
-    on the trail, and queues the variable's clauses; returns False on a
-    clause with no live literal.  The fixpoint, and whether it falsifies
-    a clause, do not depend on the order clauses are visited in.
+    Recounts into ``live`` (on the trail) only a clause whose literal on
+    a narrowed variable turned false or whole, never a held one, since
+    domains only shrink; a unit narrows its variable, on the trail, and
+    queues it.  False on a clause with no live literal.  The fixpoint
+    does not depend on the order clauses are visited in.
     """
     while work:
-        for cid in work.pop():
-            unit = None
-            for j, mask in masks[cid]:
-                d = dom[j]
-                dm = d & mask
+        j = work.pop()
+        d = dom[j]  # recounts from j's entries never narrow j itself
+        for cid, mask in occ[j]:
+            dm = d & mask
+            if dm and dm != d or live[cid] == held:
+                continue
+            count = 0
+            for v, m in masks[cid]:
+                dv = dom[v]
+                dm = dv & m
                 if dm:
-                    if dm == d or unit is not None:
-                        break  # satisfied, or two live literals
-                    unit = j, dm
-            else:
-                if unit is None:
-                    return False
-                j, dm = unit
-                trail.append((j, dom[j]))
-                dom[j] = dm
-                work.append(occ[j])
+                    if dm == dv:
+                        count = held
+                        break
+                    count += 1
+                    unit = v, dm
+            if not count:
+                return False
+            if count == 1:
+                v, dm = unit
+                trail.append((v, dom[v]))
+                dom[v] = dm
+                work.append(v)
+                count = held
+            if count != live[cid]:
+                trail.append((~cid, live[cid]))
+                live[cid] = count
     return True
 
 
-def _unsatisfied(dom, masks, active):
-    """The clauses of ``active`` still unsatisfied at a fixpoint, in order,
-    and the first with the fewest live literals (None when all hold)."""
-    still = []
-    branch, fewest = None, len(dom)  # above any live count: a clause has at most n variables
-    for cid in active:
-        count = 0
-        for j, mask in masks[cid]:
-            d = dom[j]
-            dm = d & mask
-            if dm == d:
-                break
-            if dm:
-                count += 1
-        else:
-            still.append(cid)
-            if count < fewest:
-                branch, fewest = cid, count
-    return still, branch
+def _branch(live, held):
+    """The first clause with the fewest live literals, or None when every
+    clause holds."""
+    fewest = min(live, default=held)
+    return None if fewest == held else live.index(fewest)
 
 
 # ---------------------------------------------------------------------------

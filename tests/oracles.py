@@ -22,12 +22,13 @@ from rsat import (
     Formula,
     Literal,
     Rel,
+    ResourceLimit,
     eval_formula,
     signs_disjoint,
     verify_bicycle,
 )
 from rsat.formula import vspec_grid
-from rsat.solver import Ranked
+from rsat.solver import Ranked, _candidates, _clause_masks
 
 
 def vspec_values(vspec) -> list[Fraction]:
@@ -277,3 +278,104 @@ def two_stage_reduction(c):
     rep = [g if g in has_ge or g in first else g - 1 for g in compress(range(size), starts)]
     reduced = [before[g] if e else before[g + 1] - 1 for e, g in zip(ge, rank)]
     return reduced, [before[g] for g in start], [full.rep[g] for g in rep]
+
+
+def rescan_complete(c, budget: int):
+    """The complete decider's search as it stood before it kept live
+    counts, the reference for its tree: at every fixpoint it rescans each
+    unsatisfied clause for the first with the fewest live literals, and
+    propagation rechecks every clause of each narrowed variable.
+
+    Returns the verdict, the witness (variable to bound, None for a form
+    compiled from integer draws or an UNSAT verdict) and the node count;
+    raises ResourceLimit when more than ``budget`` nodes are expanded.
+    """
+    cands = _candidates(c)
+    masks, dom = _clause_masks(c, cands)
+    occ: list[list[int]] = [[] for _ in dom]  # clause ids per variable
+    for cid, clause in enumerate(masks):
+        for j, _ in clause:
+            occ[j].append(cid)
+    trail: list[tuple[int, int]] = []  # (var, mask before a narrowing)
+    frames = []  # per open node: [unsatisfied clauses, branch literals, next branch, trail mark]
+    active = list(range(len(masks)))
+    work = [[cid for cid, clause in enumerate(masks) if len(clause) == 1]]
+    nodes = 0
+    while True:
+        nodes += 1
+        if nodes > budget:
+            raise ResourceLimit(f"search budget of {budget} nodes exhausted")
+        if _rescan_propagate(dom, trail, masks, occ, work):
+            active, branch = _rescan_unsatisfied(dom, masks, active)
+            if branch is None:  # every clause holds: take the lowest candidates left
+                low = {j: cands[j][(d & -d).bit_length() - 1] for j, d in enumerate(dom) if j}
+                value = {} if c.bounds is None else dict(zip(zip(c.var, c.num), c.bounds))
+                wit = None if c.bounds is None else {j: value.get((j, b), Fraction(0))
+                                                     for j, b in low.items()}
+                return True, wit, nodes
+            live = [(j, mask) for j, mask in masks[branch] if dom[j] & mask]
+            frames.append([active, live, 0, len(trail)])
+        while frames:  # undo to the deepest node with a branch left, and take it
+            frame = frames[-1]
+            active, live, i, mark = frame
+            while len(trail) > mark:
+                j, d = trail.pop()
+                dom[j] = d
+            if i == len(live):
+                frames.pop()
+                continue
+            frame[2] = i + 1
+            for j, mask in live[:i]:
+                trail.append((j, dom[j]))
+                dom[j] &= ~mask
+            j, mask = live[i]
+            trail.append((j, dom[j]))
+            dom[j] &= mask
+            work = [occ[j] for j, _ in live[: i + 1]]
+            break
+        else:
+            return False, None, nodes
+
+
+def _rescan_propagate(dom, trail, masks, occ, work) -> bool:
+    """Unit propagation to fixpoint from the clause-id lists on ``work``;
+    False on a clause with no live literal."""
+    while work:
+        for cid in work.pop():
+            unit = None
+            for j, mask in masks[cid]:
+                d = dom[j]
+                dm = d & mask
+                if dm:
+                    if dm == d or unit is not None:
+                        break  # satisfied, or two live literals
+                    unit = j, dm
+            else:
+                if unit is None:
+                    return False
+                j, dm = unit
+                trail.append((j, dom[j]))
+                dom[j] = dm
+                work.append(occ[j])
+    return True
+
+
+def _rescan_unsatisfied(dom, masks, active):
+    """The clauses of ``active`` still unsatisfied at a fixpoint, in order,
+    and the first with the fewest live literals (None when all hold)."""
+    still = []
+    branch, fewest = None, len(dom)  # above any live count: a clause has at most n variables
+    for cid in active:
+        count = 0
+        for j, mask in masks[cid]:
+            d = dom[j]
+            dm = d & mask
+            if dm == d:
+                break
+            if dm:
+                count += 1
+        else:
+            still.append(cid)
+            if count < fewest:
+                branch, fewest = cid, count
+    return still, branch

@@ -400,6 +400,18 @@ def test_solve_decides_by_the_sweep_rule(capsys, tmp_path, monkeypatch):
     assert code == 3 and out == "" and err == "resource limit: budget\n"
 
 
+def test_solve_out_of_memory_is_resource_limit(capsys, tmp_path, monkeypatch):
+    # a huge n that the header admits fails in the decider's first O(n) list
+    def out_of_memory(c):
+        raise MemoryError
+
+    monkeypatch.setattr(rsat.solver, "reduce_candidates", out_of_memory)
+    path = tmp_path / "f.rsat"
+    path.write_text("p rsat 2 2 1 continuous\n1:le:1/2 2:ge:1/2\n")
+    code, out, err = run(capsys, "solve", str(path))
+    assert code == 3 and out == "" and err == "resource limit: out of memory\n"
+
+
 def test_solve_prints_unsat_alone(capsys, tmp_path):
     path = tmp_path / "unit.rsat"
     path.write_text("p rsat 2 1 2 continuous\n1:le:3/10 1:le:3/10\n1:ge:7/10 1:ge:7/10\n")

@@ -11,7 +11,9 @@ Three scans keep one path per job in the package: only ``sweep.decide``
 calls a decider outside ``solver.py``, only ``solver.reduce_candidates``
 builds a ``Ranked`` form, and no module calls ``open`` twice with one
 mode.  A fourth keeps the certificate checks total: they raise nothing
-but ``WrongArity``, and both read the one link rule ``_linked``.
+but ``WrongArity``, and both read the one link rule ``_linked``.  A fifth
+keeps ``import rsat`` from growing: the modules the package imports at
+module level must be the recorded set.
 
 A stdlib-only stand-in for a linter's unused-import, broad-except and
 dead-code rules.  The package's ``__init__.py`` is left out of the import
@@ -346,3 +348,58 @@ def test_scan_finds_a_mode_opened_twice():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_module_opens_each_mode_once(path):
     assert repeated_open_modes(path.read_text(encoding="utf-8")) == []
+
+
+def module_level_imports(source: str, package: str = "rsat") -> set[str]:
+    """Modules a module imports when it is itself imported: every import
+    outside a function body, relative ones named inside ``package``."""
+    found = set()
+
+    def visit(node):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            return  # runs only when called
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if not node.level:
+                found.add(node.module)
+            elif node.module:
+                found.add(f"{package}.{node.module}")
+            else:
+                found.update(f"{package}.{alias.name}" for alias in node.names)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(ast.parse(source))
+    return found
+
+
+def test_scan_finds_an_added_import():
+    source = (
+        "import json\nfrom .solver import compile_slots\nfrom . import analytics\n"
+        "def run_sweep():\n    from concurrent.futures import ProcessPoolExecutor\n"
+        "    return ProcessPoolExecutor\n"
+        "class C:\n    import decimal\n"
+        "try:\n    import os.path\nexcept ImportError:\n    pass\n"
+    )
+    assert module_level_imports(source) == {
+        "json", "rsat.solver", "rsat.analytics", "decimal", "os.path"
+    }
+
+
+# what ``import rsat`` loads from the package's own imports; the pool's
+# ``concurrent.futures`` is imported inside ``run_sweep``, when a sweep
+# asks for workers
+PACKAGE_IMPORTS = {
+    "__future__", "argparse", "array", "collections", "dataclasses", "enum", "fractions",
+    "functools", "itertools", "math", "operator", "os", "re", "statistics", "sys", "typing",
+    *(f"rsat.{name}" for name in ("analytics", "certificates", "cli", "errors", "fileformat",
+                                  "formula", "rng", "sampler", "solver", "sweep")),
+}
+
+
+def test_package_imports_nothing_new_at_import_time():
+    found = set().union(*(module_level_imports(path.read_text(encoding="utf-8"))
+                          for path in PACKAGE.glob("*.py")))
+    assert sorted(found - PACKAGE_IMPORTS) == []  # a new import costs every `import rsat`
+    assert sorted(PACKAGE_IMPORTS - found) == []  # the record lists only what is imported

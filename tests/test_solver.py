@@ -29,10 +29,10 @@ from rsat import (
 )
 from rsat.formula import signs_disjoint
 from rsat.sampler import draw_slots
-from rsat.solver import (_candidates, _clause_masks, _order_graph, _tarjan, compile_formula,
-                         compile_slots, literal_components, reduce_candidates)
+from rsat.solver import (DEFAULT_NODE_BUDGET, _candidates, _clause_masks, _order_graph, _tarjan,
+                         compile_formula, compile_slots, literal_components, reduce_candidates)
 from oracles import (brute_force_count_tight, brute_force_solve, deep_pairs_formula,
-                     occurring_variables, rank_candidates, two_stage_reduction)
+                     occurring_variables, rank_candidates, rescan_complete, two_stage_reduction)
 
 
 def le(var, num, den=1):
@@ -216,6 +216,39 @@ def test_complete_search_tree_pinned_on_sweep_draws(m, seed, nodes, sat):
     # compiled from integer draws as run_sweep does; such a form has no witness
     f = compile_slots(3, 24, *draw_slots(GenConfig(k=3, n=24, m=m, vspec=CONTINUOUS, seed=seed)))
     assert_search_pinned(f, nodes, sat, None)
+
+
+def assert_same_tree(c):
+    """``solve_complete`` on compiled ``c`` walks the rescanning search's
+    tree: same verdict and witness, and the same node count, shown by the
+    budget boundary."""
+    sat, witness, nodes = rescan_complete(c, DEFAULT_NODE_BUDGET)
+    result = solve_complete(c, budget=nodes)
+    assert (result.sat, result.witness) == (sat, witness)
+    with pytest.raises(ResourceLimit):
+        solve_complete(c, budget=nodes - 1)
+    return sat
+
+
+@pytest.mark.parametrize("k, n, token, m, step", [
+    (3, 16, "continuous", 130, 10), (3, 16, "finite:3", 70, 8), (3, 16, "dyadic:2", 90, 8),
+    (4, 10, "continuous", 180, 20), (4, 10, "finite:3", 100, 10), (4, 10, "dyadic:2", 140, 10),
+])
+@pytest.mark.parametrize("distinct", [False, True])
+def test_live_counts_keep_the_rescan_tree(k, n, token, m, step, distinct):
+    # m steps across each value set's crossing, so both verdicts show up
+    verdicts = [assert_same_tree(compile_formula(sample_formula(GenConfig(
+        k=k, n=n, m=m + step * seed, vspec=vspec_from_token(token),
+        distinct_vars_per_clause=distinct, seed=95_000 + seed)))) for seed in range(8)]
+    assert True in verdicts and False in verdicts
+
+
+@pytest.mark.parametrize("m", [240, 252, 264])
+def test_live_counts_keep_the_rescan_tree_on_sweep_draws(m):
+    # the sweep-k3-complete shape, compiled from integer draws: no witness
+    verdicts = [assert_same_tree(compile_slots(3, 24, *draw_slots(
+        GenConfig(k=3, n=24, m=m, vspec=CONTINUOUS, seed=96_000 + seed)))) for seed in range(8)]
+    assert True in verdicts and False in verdicts
 
 
 def test_complete_search_depth_is_not_bounded_by_recursion_limit():

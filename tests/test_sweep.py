@@ -349,7 +349,7 @@ def test_sweep_decider_checks_its_witness(monkeypatch):
 def test_complete_decider_checks_its_witness(monkeypatch):
     # a search that finds every clause satisfied at once reads the
     # all-lowest-candidate witness, which this formula refutes
-    monkeypatch.setattr(rsat.solver, "_unsatisfied", lambda dom, masks, active: ([], None))
+    monkeypatch.setattr(rsat.solver, "_branch", lambda live, held: None)
     cfg = small_config(vspecs=(Finite(3),), c_grid=(F(2),), trials=3, decider="complete")
     with pytest.raises(AssertionError, match="invalid witness"):
         run_sweep(cfg)
