@@ -12,6 +12,10 @@ with ``<vspec>`` one of ``finite:<v>``, ``dyadic:<lambda>``,
 denominator, and every integer is written as ``str(int(field))`` gives
 it.  The literals of one file share one Fraction per bound text, so one
 per distinct bound, and rendering writes each bound object's text once.
+Each clause line is read with one match of a k-token pattern, compiled
+only once a line has k tokens, and the file's literals are built in one
+checked `rsat.formula.literals` call; when a line does not match or a
+literal fails, the file is read again token by token, as before.
 `Formula` checks the clause rules (width k, variables in 1..n, bounds in
 V) and the parser names the offending line.  Errors come in this order:
 token errors (innocuous literals among them) in file order, then the
@@ -46,6 +50,7 @@ from .formula import (
     Literal,
     Rel,
     TruthValueSpec,
+    literals,
 )
 
 _RELS = {"le": Rel.LE, "ge": Rel.GE}
@@ -57,6 +62,7 @@ _CERT_HEADERS = {"bicycle": "cert bicycle <ell> <i0> <i1>", "snake": "cert snake
 _POS = "[1-9][0-9]*"
 _INT_RE = re.compile(f"0|-?{_POS}")
 _literal_match = re.compile(f"({_POS}):(le|ge):((0|{_POS})/({_POS}))").fullmatch
+_TOKEN = f"{_POS}:(?:le|ge):(?:0|{_POS})/{_POS}"
 
 
 def _int(field: str, what: str, line: int | None) -> int:
@@ -148,6 +154,51 @@ def render_formula(f: Formula) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _slots(lines: list[str]):
+    """(var, rel, bound) lists of the slots of clause lines that hold only
+    literal tokens, one Fraction per bound text.  A ValueError when a bound
+    text is not in lowest terms or an integer is too long for int()."""
+    # one relation digit per slot: split then makes no string for it
+    fields = " ".join(lines).replace(":le:", " 0 ").replace(":ge:", " 1 ").split()
+    values = {}
+    for text in set(fields[2::3]):
+        num, den = map(int, text.split("/"))
+        bound = values[text] = Fraction(num, den)
+        if bound.denominator != den:
+            raise ValueError(f"fraction {text!r} is not in lowest terms")
+    return (
+        list(map(int, fields[0::3])),
+        list(map({"0": Rel.LE, "1": Rel.GE}.__getitem__, fields[1::3])),
+        list(map(values.__getitem__, fields[2::3])),
+    )
+
+
+def _read_clauses(lines: list[str], k: int) -> tuple[tuple, bool] | None:
+    """(clauses, whether no clause repeats a variable) of clause lines that
+    each hold k literal tokens and whose literals pass their checks; None
+    when some line or literal does not."""
+    if not lines:
+        return (), True
+    if len(lines[0].split()) != k:  # compile no pattern for a k that no line has
+        return None
+    # one match per line; re caches the compiled pattern per k
+    if not all(map(re.compile(rf"{_TOKEN}(?:\s+{_TOKEN}){{{k - 1}}}").fullmatch, lines)):
+        return None
+    try:
+        var, rel, bound = _slots(lines)
+        lits = literals(var, rel, bound)
+    except ValueError:  # read again token by token, which names the line
+        return None
+    distinct = all(map(k.__eq__, map(len, map(set, zip(*[iter(var)] * k)))))
+    return tuple(zip(*[iter(lits)] * k)), distinct
+
+
+def _clause_rows(text: str) -> list[tuple[int, str]]:
+    """(line number, line) of each clause line: the content after the header.
+    Read again only on an error, so a valid file keeps no row per line."""
+    return list(_content_lines(text))[1:]
+
+
 def parse_formula(text: str) -> Formula:
     lines = _content_lines(text)
     header, line = next(lines, (None, ""))
@@ -158,18 +209,20 @@ def parse_formula(text: str) -> Formula:
         raise ParseError("expected header 'p rsat <k> <n> <m> <vspec>'", header)
     k, n, m = (_int(field, "header field", header) for field in fields[2:5])
     vspec = vspec_from_token(fields[5], header)
-    shared: dict[str, Fraction] = {}  # one Fraction per bound text
-    clauses, clause_lines, distinct = [], [], True
-    for lineno, line in lines:
-        clause = tuple(literal_from_token(token, lineno, shared) for token in line.split())
-        if distinct and len({lit.var for lit in clause}) != len(clause):
-            distinct = False
-        clauses.append(clause)
-        clause_lines.append(lineno)
+    read = _read_clauses([line for _, line in lines], k)
+    if read is None:  # token by token, which raises the first token error
+        shared: dict[str, Fraction] = {}  # one Fraction per bound text
+        clauses = tuple(
+            tuple(literal_from_token(token, lineno, shared) for token in line.split())
+            for lineno, line in _clause_rows(text)
+        )
+        distinct = all(len({lit.var for lit in clause}) == len(clause) for clause in clauses)
+    else:
+        clauses, distinct = read
     try:
-        f = Formula(k, n, tuple(clauses), vspec, distinct)
+        f = Formula(k, n, clauses, vspec, distinct)
     except ClauseError as exc:
-        raise ParseError(exc.reason, clause_lines[exc.index]) from None
+        raise ParseError(exc.reason, _clause_rows(text)[exc.index][0]) from None
     except ValueError as exc:  # no clause is at fault: the header is
         raise ParseError(str(exc), header) from None
     if f.m != m:

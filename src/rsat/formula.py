@@ -18,7 +18,8 @@ A `Literal` is an immutable, checked ``(var, rel, bound)`` tuple: it
 compares and hashes like that plain tuple (so it equals one with the same
 fields) and unpacks as ``var, rel, bound = lit``.  Every way to build one
 (the constructor, ``_replace``, ``_make``, pickle, ``copy``) runs the
-constructor's checks.
+constructor's checks; :func:`literals` runs the same checks in bulk,
+once per distinct bound object, for the sampler and the parser.
 
 Truth-value sets come in three families:
 
@@ -169,6 +170,51 @@ class Literal(_LiteralFields):
         return f"(x{self.var} {op} {self.bound})"
 
 
+def _pass_in_bulk(var: list, rel: list, bound: list) -> bool:
+    """True only if every ``Literal(*t) for t in zip(var, rel, bound)`` passes
+    the constructor's checks; False also for input it leaves to them."""
+    from itertools import compress, repeat
+    from operator import is_
+
+    if var and (set(map(type, var)) != {int} or min(var) < 1):
+        return False
+    if not set(map(type, rel)) <= {Rel}:
+        return False
+    objects = dict(zip(map(id, bound), bound))  # each distinct bound object once
+    if not set(map(type, objects.values())) <= {int, Fraction}:
+        return False
+    ones, zeros = set(), set()  # ids of the bounds at 1 and at 0
+    for key, b in objects.items():
+        num, den = b.numerator, b.denominator
+        if not 0 <= num <= den:
+            return False
+        if num == den:
+            ones.add(key)
+        elif not num:
+            zeros.add(key)
+    le = map(id, compress(bound, map(is_, rel, repeat(Rel.LE))))  # read lazily
+    ge = map(id, compress(bound, map(is_, rel, repeat(Rel.GE))))
+    # no innocuous x <= 1 or x >= 0
+    return (not ones or ones.isdisjoint(le)) and (not zeros or zeros.isdisjoint(ge))
+
+
+def literals(var: list, rel: list, bound: list) -> list[Literal]:
+    """``[Literal(*t) for t in zip(var, rel, bound)]``, checked in bulk: the
+    same list, or the same first error.
+
+    The variables are checked by their set of types and their minimum, the
+    relations by their set of types, and each distinct bound object once: an
+    exact int or Fraction in [0, 1], where one at 1 carries no <= literal and
+    one at 0 no >= literal.  Input that fails a bulk check goes through the
+    constructor, so an error is the first literal's.
+    """
+    from itertools import repeat
+
+    if not _pass_in_bulk(var, rel, bound):
+        return [Literal(*t) for t in zip(var, rel, bound)]
+    return list(map(tuple.__new__, repeat(Literal), zip(var, rel, bound)))
+
+
 Clause = tuple[Literal, ...]
 
 Interpretation = Mapping[int, Fraction]
@@ -205,6 +251,11 @@ class Formula:
             raise _not_int("clause width k", self.k)
         if type(self.n) is not int:
             raise _not_int("variable count", self.n)
+        if type(self.distinct_vars_per_clause) is not bool:
+            raise TypeError(
+                "distinct_vars_per_clause must be a bool,"
+                f" got {type(self.distinct_vars_per_clause).__name__}"
+            )
         if self.k < 2:
             raise ValueError(f"clause width k must be >= 2, got {self.k}")
         if self.n < 0:

@@ -38,10 +38,10 @@ from .formula import (
     Dyadic,
     Finite,
     Formula,
-    Literal,
     Rel,
     TruthValueSpec,
     _not_int,
+    literals,
     vspec_grid,
 )
 from .rng import Stream
@@ -150,12 +150,13 @@ def draw_slots(cfg: GenConfig) -> tuple[int, list[int], list[int], list[int]]:
 
 
 def _formula(shape: GenConfig | Formula, denominator: int, var, ge, num) -> Formula:
-    """The one Literal builder: slot i is x_var[i] >= num[i]/D when ge[i], else
-    <=; k, n, V and the clause model come from ``shape``."""
+    """The sampler's one formula builder: slot i is x_var[i] >= num[i]/D when
+    ge[i], else <=; k, n, V and the clause model come from ``shape``."""
     values = {b: Fraction(b, denominator) for b in set(num)}  # one Fraction per bound
-    lits = [Literal(j, Rel.GE if e else Rel.LE, values[b]) for j, e, b in zip(var, ge, num)]
+    rels = list(map((Rel.LE, Rel.GE).__getitem__, ge))
+    lits = literals(var, rels, list(map(values.__getitem__, num)))
     k = shape.k
-    clauses = tuple(tuple(lits[i : i + k]) for i in range(0, len(lits), k))
+    clauses = tuple(zip(*[iter(lits)] * k))
     return Formula(k, shape.n, clauses, shape.vspec, shape.distinct_vars_per_clause)
 
 

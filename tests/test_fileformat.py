@@ -2,6 +2,7 @@ import copy
 import cProfile
 import pickle
 import pstats
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -186,7 +187,7 @@ def _calls(profile, fn) -> int:
     """Calls of the Python function ``fn`` a cProfile run recorded."""
     stats = pstats.Stats(profile).stats  # (file, line, name) -> (cc, ncalls, ...)
     code = fn.__code__
-    return stats[(code.co_filename, code.co_firstlineno, code.co_name)][1]
+    return stats.get((code.co_filename, code.co_firstlineno, code.co_name), (0, 0))[1]
 
 
 def _fraction_count(profile) -> int:
@@ -201,7 +202,11 @@ def test_parse_checks_each_bound_once():
     profile = cProfile.Profile()
     assert profile.runcall(parse_formula, render_formula(f)) == f
     assert _calls(profile, rsat.Formula.__post_init__) == 1
-    assert _calls(profile, rsat.Literal.__new__) == f.k * f.m
+    # a valid file's literals are built in one bulk call, without the constructor
+    assert _calls(profile, rsat.formula.literals) == 1
+    assert _calls(profile, rsat.Literal.__new__) == 0
+    bounds = {lit.bound for clause in f.clauses for lit in clause}
+    assert _fraction_count(profile) == len(bounds)
 
 
 def test_sample_builds_each_literal_once_and_one_fraction_per_bound():
@@ -209,7 +214,8 @@ def test_sample_builds_each_literal_once_and_one_fraction_per_bound():
     profile = cProfile.Profile()
     f = profile.runcall(sample_formula, cfg)
     assert _calls(profile, rsat.Formula.__post_init__) == 1
-    assert _calls(profile, rsat.Literal.__new__) == f.k * f.m
+    assert _calls(profile, rsat.formula.literals) == 1  # one bulk build, no constructor
+    assert _calls(profile, rsat.Literal.__new__) == 0
     bounds = {lit.bound for clause in f.clauses for lit in clause}
     assert _fraction_count(profile) == len(bounds)
 
@@ -292,6 +298,63 @@ def test_shared_value_rejections_name_their_line(old, new, line, message):
         errors.append(str(err.value))
         assert err.value.line == line and message in str(err.value)
     assert errors[0] == errors[1]
+
+
+_AFTER_WIDTH = "p rsat 2 3 3 finite:5\n1:le:1/4 2:ge:1/4\n2:le:3/4\n3:le:1/2 1:ge:3/4\n"
+
+
+@pytest.mark.parametrize(
+    "new, line, message",
+    [
+        ("1:ge:3/4", 3, "width 1, expected k = 2"),
+        ("1:le:1/1", 4, "innocuous literal (x <= 1 or x >= 0) is forbidden"),
+        ("1:ge:5/4", 4, "bound outside [0, 1]: 5/4"),
+        ("1:ge:6/8", 4, "fraction '6/8' is not in lowest terms"),
+    ],
+    ids=["width", "innocuous", "out-of-range", "not-reduced"],
+)
+def test_a_token_error_after_a_wrong_width_line_names_its_own_line(new, line, message):
+    # line 3 breaks a clause rule, which comes after every token error
+    with pytest.raises(ParseError) as err:
+        parse_formula(_AFTER_WIDTH.replace("1:ge:3/4", new))
+    assert err.value.line == line and message in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "clauses, line, message",
+    [
+        ("1:le:2/4 2:ge:1/4\n2:le:3/4 3:lt:1/4\n", 2, "fraction '2/4' is not in lowest terms"),
+        ("1:le:2/4 2:ge:x\n2:le:3/4 3:ge:1/4\n", 2, "fraction '2/4' is not in lowest terms"),
+        ("1:le:x 2:ge:2/4\n2:le:3/4 3:ge:1/4\n", 2, "bad literal token '1:le:x'"),
+        ("1:le:1/4 2:ge:1/4\n2:le:4/2 3:le:1/1\n", 3, "fraction '4/2' is not in lowest terms"),
+    ],
+    ids=["earlier-line", "earlier-token", "later-token", "before-innocuous"],
+)
+def test_token_errors_come_in_file_order(clauses, line, message):
+    with pytest.raises(ParseError) as err:
+        parse_formula("p rsat 2 3 2 finite:5\n" + clauses)
+    assert err.value.line == line and message in str(err.value)
+
+
+@pytest.mark.parametrize("gap", ["\t", "   ", " \t ", "\u2003", "\xa0\t"],
+                         ids=["tab", "spaces", "mixed", "em-space", "nbsp-tab"])
+def test_any_run_of_whitespace_separates_tokens(gap):
+    profile = cProfile.Profile()
+    f = profile.runcall(parse_formula, _FINITE5.replace(" ", gap))
+    assert f == parse_formula(_FINITE5) and render_formula(f) == _FINITE5
+    assert f.distinct_vars_per_clause  # read in bulk: one match per line, no constructor
+    assert _calls(profile, rsat.Literal.__new__) == 0
+
+
+def test_a_huge_header_k_compiles_no_pattern(monkeypatch):
+    # the header is untrusted: its k must not size a pattern that no line needs
+    compiled = []
+    compile_pattern = re.compile
+    monkeypatch.setattr(re, "compile", lambda *args: compiled.append(args) or compile_pattern(*args))
+    with pytest.raises(ParseError) as err:
+        parse_formula("p rsat 1000000000 3 1 continuous\n1:le:1/2 2:ge:1/2\n")
+    assert err.value.line == 2 and "width 2, expected k = 1000000000" in str(err.value)
+    assert compiled == []
 
 
 # ---------------------------------------------------------------------------

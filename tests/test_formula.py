@@ -19,7 +19,7 @@ from rsat import (
     eval_literal,
     signs_disjoint,
 )
-from rsat.formula import vspec_grid
+from rsat.formula import literals, vspec_grid
 
 
 def le(var, num, den=1):
@@ -117,9 +117,13 @@ def test_bound_without_integer_parts_is_a_type_error():
         (lambda: Formula(2.0, 2, (), CONTINUOUS), "clause width k must be an int, got float"),
         (lambda: Formula(2, 2.0, (), CONTINUOUS), "variable count must be an int, got float"),
         (lambda: Formula(2, True, (), CONTINUOUS), "variable count must be an int, got bool"),
+        (lambda: Formula(2, 3, ((le(1, 1, 2), ge(1, 1, 2)),), CONTINUOUS, "no"),
+         "distinct_vars_per_clause must be a bool, got str"),
+        (lambda: Formula(2, 3, (), CONTINUOUS, 0.0),
+         "distinct_vars_per_clause must be a bool, got float"),
     ],
     ids=["var-float", "var-bool", "var-float-below-1", "rel-str", "rel-None",
-         "k-float", "n-float", "n-bool"],
+         "k-float", "n-float", "n-bool", "distinct-str", "distinct-float"],
 )
 def test_indices_and_sizes_must_be_ints(make, message):
     # each was once accepted (or met a range check first) and rendered a file
@@ -188,6 +192,40 @@ def test_every_way_to_build_a_literal_runs_its_checks():
     with pytest.raises(ValueError, match="^innocuous literal"):
         Literal._make((1, Rel.LE, F(1)))
     assert lit._replace(bound=F(1, 3)) == le(1, 1, 3)
+
+
+HALF = F(1, 2)
+# (rel, bound) of valid literals: two equal halves that are distinct objects,
+# int bounds, and bounds at 0 and 1 on the side where they are not innocuous
+_SIDES = [(Rel.LE, HALF), (Rel.GE, F(1, 2)), (Rel.GE, F(1, 4)), (Rel.GE, F(1)),
+          (Rel.LE, F(0)), (Rel.GE, 1), (Rel.LE, 0)]
+# entries the constructor rejects, and a bool bound, which it accepts
+_ODD = [(True, Rel.LE, HALF), (0, Rel.LE, HALF), (-2, Rel.GE, HALF), (1.0, Rel.LE, HALF),
+        (1, "le", HALF), (1, None, HALF), (1, Rel.LE, 0.5), (1, Rel.GE, F(3, 2)),
+        (1, Rel.LE, F(-1, 2)), (1, Rel.LE, F(1)), (1, Rel.GE, F(0)), (1, Rel.LE, 1),
+        (1, Rel.GE, 0), (1, Rel.GE, True)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(st.sampled_from([1, 2, 7, 2000]), st.sampled_from(_SIDES)), max_size=8),
+    st.lists(st.tuples(st.integers(0, 8), st.sampled_from(_ODD)), max_size=2),
+)
+def test_bulk_literals_match_the_constructor(good, odd):
+    entries = [(var, *side) for var, side in good]
+    for at, entry in odd:
+        entries.insert(at, entry)
+    columns = [list(column) for column in zip(*entries)] or [[], [], []]
+    try:
+        expected = [Literal(*entry) for entry in entries]
+    except (TypeError, ValueError) as exc:
+        with pytest.raises(type(exc)) as err:
+            literals(*columns)
+        assert str(err.value) == str(exc)
+    else:
+        built = literals(*columns)
+        assert built == expected
+        assert all(type(a) is Literal and a.bound is b.bound for a, b in zip(built, expected))
 
 
 def test_a_literal_is_its_fields_tuple():

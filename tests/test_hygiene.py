@@ -7,13 +7,14 @@ and every public method or property of a top-level class, is read by the
 package, a script, the benchmark or the acceptance suite
 (``tests/test_acceptance.py``); a name only unit tests read lives in the
 tests.
-Three scans keep one path per job in the package: only ``sweep.decide``
+Four scans keep one path per job in the package: only ``sweep.decide``
 calls a decider outside ``solver.py``, only ``solver.reduce_candidates``
-builds a ``Ranked`` form, and no module calls ``open`` twice with one
-mode.  A fourth keeps the certificate checks total: they raise nothing
-but ``WrongArity``, and both read the one link rule ``_linked``.  A fifth
-keeps ``import rsat`` from growing: the modules the package imports at
-module level must be the recorded set.
+builds a ``Ranked`` form, only ``formula.py`` builds a ``Literal``
+without its constructor (by ``tuple.__new__``), and no module calls
+``open`` twice with one mode.  A fifth keeps the certificate checks
+total: they raise nothing but ``WrongArity``, and both read the one link
+rule ``_linked``.  A sixth keeps ``import rsat`` from growing: the modules
+the package imports at module level must be the recorded set.
 
 A stdlib-only stand-in for a linter's unused-import, broad-except and
 dead-code rules.  The package's ``__init__.py`` is left out of the import
@@ -275,6 +276,39 @@ def test_only_reduce_candidates_builds_a_ranked_form(path):
         assert len(inside) == 1  # the scan sees the one construction
         calls = [call for call in calls if call not in inside]
     assert calls == []
+
+
+def tuple_news(source: str) -> list[str]:
+    """Reads of ``tuple.__new__``, each with the top-level definition it sits in."""
+    found = []
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", "<module>")
+        found += [(node.lineno, f"tuple.__new__ in {owner}") for node in ast.walk(top)
+                  if isinstance(node, ast.Attribute) and node.attr == "__new__"
+                  and isinstance(node.value, ast.Name) and node.value.id == "tuple"]
+    return [f"line {line}: {read}" for line, read in sorted(found)]
+
+
+def test_scan_finds_a_literal_built_without_its_constructor():
+    source = (
+        "def build(rows):\n    return [tuple.__new__(Literal, row) for row in rows]\n"
+        "BUILT = list(map(tuple.__new__, repeat(Literal), ROWS))\n"
+        "class Lit(tuple):\n    def __new__(cls, *fields):\n"
+        "        return tuple.__new__(cls, fields)\n"
+    )
+    assert tuple_news(source) == [
+        "line 2: tuple.__new__ in build", "line 3: tuple.__new__ in <module>",
+        "line 6: tuple.__new__ in Lit",
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_formula_builds_a_literal_without_its_constructor(path):
+    found = tuple_news(path.read_text(encoding="utf-8"))
+    if path.name == "formula.py":  # the constructor and the one bulk builder
+        assert [read.split(" in ")[1] for read in found] == ["Literal", "literals"]
+        found = []
+    assert found == []
 
 
 def raises_in(source: str, names) -> list[str]:
