@@ -12,10 +12,11 @@ with ``<vspec>`` one of ``finite:<v>``, ``dyadic:<lambda>``,
 denominator, and every integer is written as ``str(int(field))`` gives
 it.  The literals of one file share one Fraction per bound text, so one
 per distinct bound, and rendering writes each bound object's text once.
-Each clause line is read with one match of a k-token pattern, compiled
-only once a line has k tokens, and the file's literals are built in one
-checked `rsat.formula.literals` call; when a line does not match or a
-literal fails, the file is read again token by token, as before.
+Clause lines, and the tokens of chain lines, are each read with one match
+of a k-token pattern, compiled only once a line has k tokens, and their
+literals are built in one checked `rsat.formula.literals` call.  When that
+fails, the same reader takes one token at a time in file order, so the
+first bad token, or an integer too long for ``int()``, names its line.
 `Formula` checks the clause rules (width k, variables in 1..n, bounds in
 V) and the parser names the offending line.  Errors come in this order:
 token errors (innocuous literals among them) in file order, then the
@@ -53,7 +54,6 @@ from .formula import (
     literals,
 )
 
-_RELS = {"le": Rel.LE, "ge": Rel.GE}
 _CERT_HEADERS = {"bicycle": "cert bicycle <ell> <i0> <i1>", "snake": "cert snake <ell>"}
 
 # an integer field is read only in the form str(int(field)) gives it: no
@@ -61,14 +61,16 @@ _CERT_HEADERS = {"bicycle": "cert bicycle <ell> <i0> <i1>", "snake": "cert snake
 # token's variable and denominator are positive, its numerator is not negative
 _POS = "[1-9][0-9]*"
 _INT_RE = re.compile(f"0|-?{_POS}")
-_literal_match = re.compile(f"({_POS}):(le|ge):((0|{_POS})/({_POS}))").fullmatch
 _TOKEN = f"{_POS}:(?:le|ge):(?:0|{_POS})/{_POS}"
 
 
 def _int(field: str, what: str, line: int | None) -> int:
     if _INT_RE.fullmatch(field) is None:
         raise ParseError(f"bad {what} {field!r} (expected a canonical integer)", line)
-    return int(field)
+    try:
+        return int(field)
+    except ValueError as exc:  # longer than int()'s digit limit
+        raise ParseError(str(exc), line) from None
 
 
 def vspec_to_token(vspec: TruthValueSpec) -> str:
@@ -108,31 +110,6 @@ def _tokens(lits, texts: dict[int, str]) -> str:
             text = texts[id(bound)] = f"{bound.numerator}/{bound.denominator}"
         tokens.append(f"{var}:{'le' if rel is Rel.LE else 'ge'}:{text}")
     return " ".join(tokens)
-
-
-def literal_from_token(token: str, line: int | None, shared: dict[str, Fraction]) -> Literal:
-    """The literal a token names.  ``shared`` maps each bound text already
-    read to its Fraction: a token whose text is there reuses it, and a new
-    text is checked, built and added."""
-    match = _literal_match(token)
-    if match is None:
-        raise ParseError(
-            f"bad literal token {token!r} (expected <var>:<le|ge>:<num>/<den> in canonical"
-            " integers, with <var> and <den> positive)",
-            line,
-        )
-    var_s, rel_s, bound_s, num_s, den_s = match.groups()
-    bound = shared.get(bound_s)
-    if bound is None:
-        den = int(den_s)
-        bound = Fraction(int(num_s), den)
-        if bound.denominator != den:
-            raise ParseError(f"fraction '{bound_s}' is not in lowest terms", line)
-        shared[bound_s] = bound
-    try:
-        return Literal(int(var_s), _RELS[rel_s], bound)
-    except ValueError as exc:
-        raise ParseError(str(exc), line) from None
 
 
 # ---------------------------------------------------------------------------
@@ -187,10 +164,28 @@ def _read_clauses(lines: list[str], k: int) -> tuple[tuple, bool] | None:
     try:
         var, rel, bound = _slots(lines)
         lits = literals(var, rel, bound)
-    except ValueError:  # read again token by token, which names the line
+    except ValueError:  # read again a token at a time, which names the line
         return None
     distinct = all(map(k.__eq__, map(len, map(set, zip(*[iter(var)] * k)))))
     return tuple(zip(*[iter(lits)] * k)), distinct
+
+
+def _line_literals(tokens: list[str], line: int) -> list[Literal]:
+    """The literals of one line's tokens, each read alone and in order by the
+    bulk reader, so the first bad token raises its error with the line."""
+    lits = []
+    for token in tokens:
+        if re.fullmatch(_TOKEN, token) is None:
+            raise ParseError(
+                f"bad literal token {token!r} (expected <var>:<le|ge>:<num>/<den> in canonical"
+                " integers, with <var> and <den> positive)",
+                line,
+            )
+        try:
+            lits += literals(*_slots([token]))
+        except ValueError as exc:
+            raise ParseError(str(exc), line) from None
+    return lits
 
 
 def _clause_rows(text: str) -> list[tuple[int, str]]:
@@ -210,15 +205,11 @@ def parse_formula(text: str) -> Formula:
     k, n, m = (_int(field, "header field", header) for field in fields[2:5])
     vspec = vspec_from_token(fields[5], header)
     read = _read_clauses([line for _, line in lines], k)
-    if read is None:  # token by token, which raises the first token error
-        shared: dict[str, Fraction] = {}  # one Fraction per bound text
-        clauses = tuple(
-            tuple(literal_from_token(token, lineno, shared) for token in line.split())
-            for lineno, line in _clause_rows(text)
-        )
-        distinct = all(len({lit.var for lit in clause}) == len(clause) for clause in clauses)
-    else:
-        clauses, distinct = read
+    if read is None:  # a token at a time, which raises the first token error
+        rows = _clause_rows(text)
+        clauses = tuple(tuple(_line_literals(line.split(), lineno)) for lineno, line in rows)
+        read = clauses, all(len({lit.var for lit in clause}) == len(clause) for clause in clauses)
+    clauses, distinct = read
     try:
         f = Formula(k, n, clauses, vspec, distinct)
     except ClauseError as exc:
@@ -246,17 +237,25 @@ def render_certificate(cert: Bicycle | Snake) -> str:
 
 
 def _parse_chain_lines(entries: list[tuple[int, str]], expected: int, header_line: int):
-    """(pairs, clause_indices) of the chain lines after a certificate header."""
+    """(pairs, clause_indices) of the chain lines after a certificate header.
+    The literals are read in bulk; when that fails, the lines are read again
+    one at a time, which raises the first error in file order (per line: the
+    field count, then the clause index, then the tokens)."""
     if len(entries) != expected:
         raise ParseError(f"expected {expected} chain lines, found {len(entries)}", header_line)
-    pairs, clause_indices, shared = [], [], {}
-    for lineno, line in entries:
-        fields = line.split()
-        if len(fields) != 3:
-            raise ParseError("expected '<clause_index> <lit> <lit>'", lineno)
-        clause_indices.append(_int(fields[0], "clause index", lineno))
-        pairs.append(tuple(literal_from_token(token, lineno, shared) for token in fields[1:]))
-    return tuple(pairs), tuple(clause_indices)
+    rows = [line.split(None, 1) for _, line in entries]
+    read = _read_clauses([row[-1] for row in rows], 2)
+    if read is None:
+        pairs = []
+        for lineno, line in entries:
+            fields = line.split()
+            if len(fields) != 3:
+                raise ParseError("expected '<clause_index> <lit> <lit>'", lineno)
+            _int(fields[0], "clause index", lineno)
+            pairs.append(tuple(_line_literals(fields[1:], lineno)))
+        read = tuple(pairs), False
+    indices = (_int(row[0], "clause index", lineno) for (lineno, _), row in zip(entries, rows))
+    return read[0], tuple(indices)
 
 
 def parse_certificate(text: str) -> Bicycle | Snake:

@@ -115,20 +115,14 @@ class Stream:
         raise TypeError("a Stream cannot be copied; build Stream(seed) again")
 
     def below(self, n: int) -> int:
-        """Uniform integer in [0, n) by masked rejection; exact for 1 <= n <= 2^64."""
-        k = _below_bits(n)
-        if k == 0:
-            return 0  # one value: no draw
-        shift = 64 - k
-        r = self.next_u64() >> shift
-        while r >= n:
-            r = self.next_u64() >> shift
-        return r
+        """Uniform integer in [0, n); exact for 1 <= n <= 2^64 (:meth:`below_fn`)."""
+        return self.below_fn(n)()
 
     def below_fn(self, n: int):
-        """A no-argument function drawing ``below(n)`` from this stream, so a
-        hot loop over one n sets up the rejection draw once; it runs the same
-        masked rejection as :meth:`below`."""
+        """A no-argument function drawing uniform integers in [0, n) from this
+        stream, so a hot loop over one n sets up the draw once.  Masked
+        rejection, the one statement of the rule: take the top bit_length(n-1)
+        bits of the next output, and draw again while they are >= n."""
         k = _below_bits(n)
         if k == 0:
             return lambda: 0  # one value: no draw

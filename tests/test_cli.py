@@ -99,6 +99,46 @@ def test_parse_error_names_line_of_bound_outside_v(capsys, tmp_path):
     assert "line 3" in err and "not in V" in err
 
 
+BIG = "9" * 5000  # past int()'s default limit of 4300 digits
+
+
+def _last_index(text):
+    """Set the clause index of the last chain line to BIG."""
+    *lines, last = text.splitlines()
+    return "\n".join([*lines, f"{BIG} {last.split(' ', 1)[1]}"]) + "\n"
+
+
+OVER_LONG = {  # (formula edit, certificate edit, line named) on a snake of ell 6
+    "header-k": (lambda t: t.replace("p rsat 2 6 7", f"p rsat {BIG} 6 7"), None, 1),
+    "header-n": (lambda t: t.replace("p rsat 2 6 7", f"p rsat 2 {BIG} 7"), None, 1),
+    "header-m": (lambda t: t.replace("p rsat 2 6 7", f"p rsat 2 6 {BIG}"), None, 1),
+    "finite-v": (lambda t: t.replace("continuous", f"finite:{BIG}"), None, 1),
+    "variable": (lambda t: t.replace("3:le:1/5", f"{BIG}:le:1/5"), None, 2),
+    "numerator": (lambda t: t.replace("3:le:1/5", f"3:le:{BIG}/5"), None, 2),
+    "denominator": (lambda t: t.replace("3:le:1/5", f"3:le:1/{BIG}"), None, 2),
+    "snake-ell": (None, lambda t: t.replace("cert snake 6", f"cert snake {BIG}"), 1),
+    "bicycle-i0": (None, lambda t: f"cert bicycle 2 {BIG} 0\n", 1),
+    "bicycle-i1": (None, lambda t: f"cert bicycle 2 0 {BIG}\n", 1),
+    "clause-index": (None, _last_index, 8),
+}
+
+
+@pytest.mark.parametrize("edit_formula, edit_cert, line", OVER_LONG.values(), ids=OVER_LONG)
+def test_an_over_long_integer_is_a_parse_error(capsys, tmp_path, edit_formula, edit_cert, line):
+    from test_certificates import planted_snake
+
+    f, snake = planted_snake(6)
+    path, cert = tmp_path / "f.rsat", tmp_path / "c.cert"
+    text = rsat.render_formula(f)
+    path.write_text(edit_formula(text) if edit_formula else text)
+    cert.write_text(edit_cert(rsat.render_certificate(snake)) if edit_cert else "")
+    argv = ["cert", "verify", "--cert", str(cert)] if edit_cert else ["solve"]
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"parse error: line {line}: Exceeds the limit (4300 digits)")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_missing_file_is_io_error(capsys):
     code, _, err = run(capsys, "solve", "/nonexistent/file.rsat")
     assert code == 2

@@ -427,3 +427,53 @@ def test_certificate_header_errors_carry_header_line():
             parse_certificate(body)
         assert err.value.line == line
         assert message in str(err.value)
+
+
+_SNAKE6 = ("cert snake 6\n0 3:le:1/5 1:le:3/10\n1 1:ge:7/10 2:le:3/10\n2 2:ge:7/10 3:le:3/10\n"
+           "3 3:ge:4/5 4:le:3/10\n4 4:ge:7/10 5:le:3/10\n5 5:ge:7/10 6:le:3/10\n"
+           "6 6:ge:7/10 3:ge:7/10\n")
+
+
+@pytest.mark.parametrize(
+    "edits, line, message",
+    [
+        ([("1 1:ge:7/10 2:le:3/10", "1 1:ge:7/10")], 3, "expected '<clause_index> <lit> <lit>'"),
+        ([("1 1:ge:7/10 2:le:3/10", "1 1:ge:7/10 2:le:3/10 2:le:3/10")], 3,
+         "expected '<clause_index> <lit> <lit>'"),
+        ([("1 1:ge:7/10", "01 1:ge:7/10")], 3,
+         "bad clause index '01' (expected a canonical integer)"),
+        ([("1 1:ge:7/10", "1 1:gt:7/10")], 3, "bad literal token '1:gt:7/10' (expected <var>"),
+        ([("1 1:ge:7/10", "1 1:ge:14/20")], 3, "fraction '14/20' is not in lowest terms"),
+        ([("1 1:ge:7/10", "1 1:ge:0/1")], 3, "innocuous literal (x <= 1 or x >= 0) is forbidden"),
+        ([("1 1:ge:7/10", "1 1:ge:3/2")], 3, "bound outside [0, 1]: 3/2"),
+        # errors come in file order: a bad token on line 2, then a bad index on line 3
+        ([("0 3:le:1/5", "0 3:le:2/10"), ("1 1:ge:7/10", "x 1:ge:7/10")], 2,
+         "fraction '2/10' is not in lowest terms"),
+        ([("0 3:le:1/5", "0 3:le:1/1"), ("1 1:ge:7/10", "x 1:ge:7/10")], 2,
+         "innocuous literal (x <= 1 or x >= 0) is forbidden"),
+        ([("0 3:le:1/5", "-0 3:le:1/5"), ("1 1:ge:7/10", "1 1:ge:7/0")], 2,
+         "bad clause index '-0' (expected a canonical integer)"),
+        ([("0 3:le:1/5", "0 3:le:1/5 7"), ("1 1:ge:7/10", "x 1:ge:7/10")], 2,
+         "expected '<clause_index> <lit> <lit>'"),
+        # on one line the clause index comes before the tokens
+        ([("1 1:ge:7/10", "x 1:ge:14/20")], 3, "bad clause index 'x'"),
+    ],
+    ids=["too-few-fields", "too-many-fields", "index", "malformed", "not-reduced",
+         "innocuous", "out-of-range", "token-before-later-index",
+         "innocuous-before-later-index", "index-before-later-token",
+         "fields-before-later-index", "index-before-token"],
+)
+def test_certificate_errors_name_their_line_in_file_order(edits, line, message):
+    text = _SNAKE6
+    for old, new in edits:
+        text = text.replace(old, new, 1)
+    with pytest.raises(ParseError) as err:
+        parse_certificate(text)
+    assert err.value.line == line and message in str(err.value)
+
+
+def test_a_repeated_chain_bound_text_parses_to_one_object():
+    cert = parse_certificate("cert snake 1\n0 1:le:1/3 2:ge:2/3\n1 2:le:1/3 1:ge:2/3\n")
+    (a, c), (b, d) = cert.pairs
+    assert a.bound == F(1, 3) and a.bound is b.bound and c.bound is d.bound
+    assert parse_certificate(_SNAKE6) == _snake_fixture()[1]

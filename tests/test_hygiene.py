@@ -7,14 +7,15 @@ and every public method or property of a top-level class, is read by the
 package, a script, the benchmark or the acceptance suite
 (``tests/test_acceptance.py``); a name only unit tests read lives in the
 tests.
-Four scans keep one path per job in the package: only ``sweep.decide``
+Five scans keep one path per job in the package: only ``sweep.decide``
 calls a decider outside ``solver.py``, only ``solver.reduce_candidates``
 builds a ``Ranked`` form, only ``formula.py`` builds a ``Literal``
-without its constructor (by ``tuple.__new__``), and no module calls
-``open`` twice with one mode.  A fifth keeps the certificate checks
-total: they raise nothing but ``WrongArity``, and both read the one link
-rule ``_linked``.  A sixth keeps ``import rsat`` from growing: the modules
-the package imports at module level must be the recorded set.
+without its constructor (by ``tuple.__new__``) or calls the constructor,
+and no module calls ``open`` twice with one mode.  A sixth keeps the
+certificate checks total: they raise nothing but ``WrongArity``, and both
+read the one link rule ``_linked``.  A seventh keeps ``import rsat`` from
+growing: the modules the package imports at module level must be the
+recorded set.
 
 A stdlib-only stand-in for a linter's unused-import, broad-except and
 dead-code rules.  The package's ``__init__.py`` is left out of the import
@@ -309,6 +310,27 @@ def test_only_formula_builds_a_literal_without_its_constructor(path):
         assert [read.split(" in ")[1] for read in found] == ["Literal", "literals"]
         found = []
     assert found == []
+
+
+def test_scan_finds_a_literal_constructor_call():
+    source = (
+        "def literal_from_token(t, rel, bound):\n    return Literal(int(t), rel, bound)\n"
+        "HALF = formula.Literal(1, Rel.LE, F(1, 2))\n"
+        "make = Literal\n"
+    )
+    assert calls_of(source, {"Literal"}) == [
+        "line 2: Literal in literal_from_token", "line 3: Literal in <module>",
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_formula_calls_the_literal_constructor(path):
+    # a file's tokens become literals only through the bulk builder
+    calls = calls_of(path.read_text(encoding="utf-8"), {"Literal"})
+    if path.name == "formula.py":  # the bulk builder's path for input it leaves to the checks
+        assert [call.split(" in ")[1] for call in calls] == ["literals"]
+        calls = []
+    assert calls == []
 
 
 def raises_in(source: str, names) -> list[str]:

@@ -141,7 +141,7 @@ def test_below_fn_draws_like_below():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 1000, 1 << 53, 1 << 64])
 def test_below_and_below_fn_draw_one_sequence(n):
-    # below runs its own rejection loop, so pin it to below_fn's draws
+    # below draws through below_fn; pin the two to one sequence
     a, b = Stream(2024), Stream(2024)
     draw = b.below_fn(n)
     assert [a.below(n) for _ in range(300)] == [draw() for _ in range(300)]
